@@ -25,6 +25,7 @@ from .fock import (
     projection_series,
     sample_on_grid,
     slice_abs_sq,
+    slice_norms,
 )
 from .quadrature import build_polar_grid, slice_sample
 from .quaternions import I, J, K, ONE, Quaternion, random_unit_imaginary
@@ -218,26 +219,14 @@ def _check_orthogonality(config) -> CheckOutcome:
 # norm checks (shared slice-norm machinery)
 
 
-def _slice_norm_matrix(f: SliceSeries, slices, grid, weight_cache: dict,
-                       pairs) -> dict:
-    """Slice norms of f for every (p, alpha) pair, one split per slice.
+def _slice_norm_matrix(f: SliceSeries, slices, grid, pairs) -> dict:
+    """Slice norms of f for every (p, alpha) pair: one row per slice.
 
-    Reductions use numpy's ordered pairwise sum (not BLAS) so results are
-    bit-identical regardless of thread count.
+    One stem-function fill serves every slice; the reduction keeps numpy's
+    ordered pairwise sum (not BLAS), so results are bit-identical
+    regardless of thread count.
     """
-    absq = np.stack([slice_abs_sq(f, u, grid) for u in slices])
-    out = {}
-    for (p, alpha) in pairs:
-        gauss = weight_cache.get(alpha)
-        if gauss is None:
-            gauss = np.exp(-alpha * np.abs(grid.z) ** 2)
-            weight_cache[alpha] = gauss
-        weighted = absq * gauss[None, :]
-        if p != 2.0:
-            weighted = weighted ** (0.5 * p)
-        integ = np.sum(weighted * grid.area_weights[None, :], axis=1)
-        out[(p, alpha)] = (alpha * p / (2.0 * math.pi) * integ) ** (1.0 / p)
-    return out
+    return slice_norms(slice_abs_sq(f, slices, grid), grid, pairs)
 
 
 def _check_norm_sandwich(config) -> CheckOutcome:
@@ -246,12 +235,11 @@ def _check_norm_sandwich(config) -> CheckOutcome:
     grid = build_grid(params)
     slices = slice_sample(config.n_slices)
     pairs = [(p, a) for p in (4.0 / 3.0, 2.0, 3.0) for a in (0.5, 1.0, 2.0)]
-    cache: dict = {}
     worst = 0.0
     worst_const = 2.0 ** 2
     for _ in range(config.n_series):
         f = _series(rng, int(rng.integers(0, 11)))
-        norms = _slice_norm_matrix(f, slices, grid, cache, pairs)
+        norms = _slice_norm_matrix(f, slices, grid, pairs)
         for (p, alpha), vals in norms.items():
             sup_p = float(vals.max()) ** p
             lo_p = float(vals.min()) ** p
@@ -280,14 +268,13 @@ def _growth_data(config):
     slices = slice_sample(config.n_slices)
     ps = (4.0 / 3.0, 2.0, 3.0)
     pairs = [(p, config.alpha) for p in ps]
-    cache: dict = {}
     rows = []
     for _ in range(100):
         f = _series(rng, int(rng.integers(0, 11)))
         pts = _ball_points(rng, 500, r_scale=0.999)
         vals = np.linalg.norm(f.eval_many(pts), axis=1)
         weights = np.exp(-0.5 * config.alpha * np.sum(pts * pts, axis=1))
-        norms = _slice_norm_matrix(f, slices, grid, cache, pairs)
+        norms = _slice_norm_matrix(f, slices, grid, pairs)
         sups = {p: float(norms[(p, config.alpha)].max()) for p in ps}
         rows.append((vals, weights, sups))
     _GROWTH_CACHE[key] = (ps, rows)
@@ -330,13 +317,12 @@ def _check_embedding(config) -> CheckOutcome:
     conjugate_pairs = ((4.0 / 3.0, 4.0), (1.5, 3.0), (2.0, 2.0))
     p_values = sorted({p for pu in conjugate_pairs for p in pu})
     pa = [(p, config.alpha) for p in p_values]
-    cache: dict = {}
     worst = 0.0
     worst_const = 0.0
     flagged = 0
     for _ in range(100):
         f = _series(rng, int(rng.integers(0, 11)))
-        norms = _slice_norm_matrix(f, slices, grid, cache, pa)
+        norms = _slice_norm_matrix(f, slices, grid, pa)
         sups = {p: float(norms[(p, config.alpha)].max()) for p in p_values}
         for (p, u) in conjugate_pairs:
             const = 2.0 ** (u + 1) * u / p
@@ -356,17 +342,16 @@ def _check_dilation(config) -> CheckOutcome:
     grid = build_grid(params)
     slices = slice_sample(config.n_slices)
     pairs = [(params.p, params.alpha)]
-    cache: dict = {}
     radii = (0.9, 0.99, 0.999)
     worst = 0.0
     monotone = True
     for _ in range(50):
         f = _series(rng, 10)
-        base = float(_slice_norm_matrix(f, slices, grid, cache, pairs)[pairs[0]].max())
+        base = float(_slice_norm_matrix(f, slices, grid, pairs)[pairs[0]].max())
         tails = []
         for r in radii:
             diff = f.dilate(r) - f
-            tails.append(float(_slice_norm_matrix(diff, slices, grid, cache, pairs)[pairs[0]].max()))
+            tails.append(float(_slice_norm_matrix(diff, slices, grid, pairs)[pairs[0]].max()))
         for a, b in zip(tails, tails[1:]):
             if b > a * (1.0 + 1e-12):
                 monotone = False
@@ -404,12 +389,11 @@ def _check_poly_density(config) -> CheckOutcome:
     grid = build_grid(params)
     slices = slice_sample(config.n_slices)
     pairs = [(params.p, params.alpha)]
-    cache: dict = {}
     f = _series(rng, 20)
     tails = []
     for m in range(21):
         diff = f - f.truncate(m)
-        tails.append(float(_slice_norm_matrix(diff, slices, grid, cache, pairs)[pairs[0]].max()))
+        tails.append(float(_slice_norm_matrix(diff, slices, grid, pairs)[pairs[0]].max()))
     monotone = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(tails, tails[1:]))
     return _outcome(tails[-1], 1e-6, also=monotone,
                     note="tail norms are nonincreasing" if monotone

@@ -11,8 +11,27 @@ incomplete-gamma numbers in the first mode and approach factorials in the
 second; the corrected kernel divides by the measured Gram diagonal so that
 it reproduces monomials on either domain by construction.
 
-All reductions are plain ordered numpy sums over immutable grids, so equal
-inputs give bit-identical outputs.
+Slice norms go through the stem function F = F1 + i F2 of the series
+(Ghiloni and Perotti, Slice regular functions on real alternative algebras,
+Adv. Math. 226 (2011)).  With z = x + iy every power splits as
+(x + yu)^n = Re(z^n) + u Im(z^n) on the slice of u, so
+
+    f(x + yu) = F1(z) + u F2(z),
+    F1 = sum_n Re(z^n) a_n,   F2 = sum_n Im(z^n) a_n,
+
+and one complex Horner sweep of the four real coefficient components gives
+F1 + i F2 for every slice at once.  Writing F1 = (s, v) and F2 = (t, w) in
+real and vector parts, the squared modulus on the slice of u is affine in u:
+
+    |f(x + yu)|^2 = A(z) + 2 u.B(z),
+    A = |F1|^2 + |F2|^2,   B = t v - s w + w x v.
+
+The weighted reduction folds the Gaussian into a radial weight,
+(|f|^2 e^(-alpha r^2))^(p/2) = |f|^p e^(-alpha p r^2 / 2), so the fractional
+power runs once per exponent p, and sums over angles before radii.
+
+All reductions are plain ordered numpy sums over immutable grids (no BLAS),
+so equal inputs give bit-identical outputs whatever the thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +53,7 @@ __all__ = [
     "build_grid",
     "slice_values",
     "slice_abs_sq",
+    "slice_norms",
     "fock_norm_slice",
     "fock_norm",
     "fock_norm_sup",
@@ -52,10 +72,11 @@ __all__ = [
 class FockParams:
     """Weight and resolution parameters for the slice-disk integrals.
 
-    alpha     Gaussian weight exponent, > 0.
-    p         integrability exponent, > 1.
+    alpha     Gaussian weight exponent, finite and > 0.
+    p         integrability exponent, finite and > 1.
     domain    "disk" (unit disk of the slice) or "plane" (radius-R truncation).
-    radius    truncation radius R in plane mode (>= 1); ignored on the disk.
+    radius    truncation radius R in plane mode (finite, >= 1); ignored on
+              the disk, where it need only be finite.
     degree    truncation degree for kernels, Gram tables and projections.
     n_r       Gauss-Legendre radial nodes.
     n_theta   equispaced angular nodes.
@@ -80,6 +101,9 @@ class FockParams:
     n_slices: int = 64
 
     def __post_init__(self):
+        for name in ("alpha", "p", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.p <= 1:
@@ -110,22 +134,90 @@ def slice_values(f: SliceSeries, u: Quaternion, grid: PolarGrid):
     return f.split(u).eval_components(grid.z)
 
 
-def slice_abs_sq(f: SliceSeries, u: Quaternion, grid: PolarGrid) -> np.ndarray:
+def _stem_terms(f: SliceSeries, grid: PolarGrid):
+    """(A, B) with |f|^2 = A + 2 u.B at the grid nodes of every slice u.
+
+    One complex Horner sweep of the four coefficient components gives the
+    stem function F1 + i F2; A has shape (n,) and B shape (3, n).
+    """
+    c = f.coeffs
+    z = grid.z
+    acc = np.empty((4, z.size), dtype=complex)
+    acc[:] = c[-1][:, None]
+    for n in range(f.degree - 1, -1, -1):
+        acc *= z
+        acc += c[n][:, None]
+    s, v1, v2, v3 = acc.real
+    t, w1, w2, w3 = acc.imag
+    a = s * s + v1 * v1 + v2 * v2 + v3 * v3 + t * t + w1 * w1 + w2 * w2 + w3 * w3
+    b = np.stack([t * v1 - s * w1 + (w2 * v3 - w3 * v2),
+                  t * v2 - s * w2 + (w3 * v1 - w1 * v3),
+                  t * v3 - s * w3 + (w1 * v2 - w2 * v1)])
+    return a, b
+
+
+def _slice_rows(a: np.ndarray, b: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """A + 2 u.B for each axis u, a row of the (m, 3) array ``axes``, clamped at 0.
+
+    At a zero of f the two terms cancel and rounding can leave a value of
+    order -1e-14, which a fractional power would turn into NaN; the clamp
+    keeps NaN for NaN input.  Rows are filled one at a time, so the working
+    set stays in cache.
+    """
+    b2 = 2.0 * b
+    rows = np.empty((len(axes), a.size))
+    for row, u in zip(rows, axes):
+        np.multiply(u[0], b2[0], out=row)
+        row += u[1] * b2[1]
+        row += u[2] * b2[2]
+        row += a
+        np.maximum(row, 0.0, out=row)
+    return rows
+
+
+def _axis_components(u: Quaternion) -> np.ndarray:
+    if abs(u.x0) > 1e-9 or abs(u.norm_sq - 1.0) > 1e-9:
+        raise ValueError("slice axis must be a unit imaginary quaternion")
+    return u.imag_vector
+
+
+def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
     """|f|^2 at the grid nodes of the slice of u.
 
-    The two split components are orthogonal in the ambient four-space, so
-    the squared modulus is just the sum of their squared moduli.
+    ``u`` is one unit imaginary (result shape (n,)) or a sequence of them
+    (result shape (len(u), n), one row per axis).  Every row comes from the
+    same stem-function sweep of f: |f|^2 = A + 2 u.B (module docstring).
     """
-    f1, f2 = slice_values(f, u, grid)
-    return f1.real ** 2 + f1.imag ** 2 + f2.real ** 2 + f2.imag ** 2
+    single = isinstance(u, Quaternion)
+    axes = np.array([_axis_components(x) for x in ([u] if single else u)]).reshape(-1, 3)
+    rows = _slice_rows(*_stem_terms(f, grid), axes)
+    return rows[0] if single else rows
 
 
-def _norm_from_abs_sq(abs_sq: np.ndarray, grid: PolarGrid, alpha: float, p: float) -> float:
-    weighted = abs_sq * np.exp(-alpha * np.abs(grid.z) ** 2)
-    if p != 2.0:
-        weighted = weighted ** (0.5 * p)
-    integral = float(np.sum(weighted * grid.area_weights))
-    return (alpha * p / (2.0 * math.pi) * integral) ** (1.0 / p)
+def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
+    """Weighted slice p-norms from |f|^2 values, for every (p, alpha) pair.
+
+    ``abs_sq`` holds nodal values in its last axis (one row per slice, or a
+    single row); each result has the shape of the leading axes.  The
+    Gaussian folds into a radial weight, (|f|^2 e^(-alpha r^2))^(p/2) =
+    |f|^p e^(-alpha p r^2 / 2), so the fractional power runs once per p and
+    the angular sums are shared by every alpha.
+    """
+    abs_sq = np.asarray(abs_sq)
+    polar = abs_sq.reshape(abs_sq.shape[:-1] + (grid.n_r, grid.n_theta))
+    radial_area = grid.area_weights[:: grid.n_theta]
+    r_sq = grid.r * grid.r
+    ring_sums = {}
+    out = {}
+    for (p, alpha) in pairs:
+        rings = ring_sums.get(p)
+        if rings is None:
+            powered = polar if p == 2.0 else polar ** (0.5 * p)
+            rings = ring_sums[p] = np.sum(powered, axis=-1)
+        weight = radial_area * np.exp(-0.5 * alpha * p * r_sq)
+        integral = np.sum(rings * weight, axis=-1)
+        out[(p, alpha)] = (alpha * p / (2.0 * math.pi) * integral) ** (1.0 / p)
+    return out
 
 
 def fock_norm_slice(f: SliceSeries, u: Quaternion, params: FockParams,
@@ -138,7 +230,8 @@ def fock_norm_slice(f: SliceSeries, u: Quaternion, params: FockParams,
     """
     if grid is None:
         grid = build_grid(params)
-    return _norm_from_abs_sq(slice_abs_sq(f, u, grid), grid, params.alpha, params.p)
+    pair = (params.p, params.alpha)
+    return float(slice_norms(slice_abs_sq(f, u, grid), grid, [pair])[pair])
 
 
 class SupNorm(NamedTuple):
@@ -150,23 +243,29 @@ def fock_norm_sup(f: SliceSeries, params: FockParams,
                   grid: Optional[PolarGrid] = None) -> SupNorm:
     """Supremum of the slice norms over the deterministic slice sample.
 
-    Returns the largest slice norm and the axis achieving it.  The sample
+    Returns the largest slice norm and the axis achieving it (the first
+    such axis of the sample; NaN anywhere makes the value NaN).  The sample
     is a Fibonacci lattice of size n_slices plus the coordinate axes; the
     norm-equivalence sandwich bounds the true supremum by twice any slice
     value, so the sampling error is bounded even between lattice points.
+    The stem terms are built once and the slices reduced one at a time,
+    so no (n_slices, nodes) stack is held in memory.
     """
     if params.n_slices < 8:
         raise ValueError("supremum norms need n_slices >= 8")
     if grid is None:
         grid = build_grid(params)
-    best = -1.0
-    best_axis = None
-    for u in slice_sample(params.n_slices):
-        val = fock_norm_slice(f, u, params, grid)
-        if val > best:
-            best = val
-            best_axis = u
-    return SupNorm(best, best_axis)
+    a, b = _stem_terms(f, grid)
+    axes = slice_sample(params.n_slices)
+    pair = (params.p, params.alpha)
+
+    def norm_on(u: Quaternion) -> float:
+        row = _slice_rows(a, b, u.imag_vector[None])[0]
+        return slice_norms(row, grid, [pair])[pair]
+
+    norms = np.array([norm_on(u) for u in axes])
+    best = int(np.argmax(norms))
+    return SupNorm(float(norms[best]), axes[best])
 
 
 def fock_norm(f: SliceSeries, params: FockParams,

@@ -56,10 +56,16 @@ def report(num: int, name: str, passed: bool, detail: str = "") -> None:
           % (num, name, "PASS" if passed else "FAIL", detail), flush=True)
 
 
+def _worst(errors) -> float:
+    """Largest error; np.max propagates NaN, so a non-finite error fails every
+    tolerance comparison (the builtin max(0.0, nan) would return 0.0)."""
+    return float(np.max(errors))
+
+
 def test_criterion_01_representation_formula():
     rng = np.random.default_rng([SEED, 1])
     start = time.perf_counter()
-    worst = 0.0
+    errors = []
     for _ in range(100):
         f = make_series(rng, int(rng.integers(0, 11)))
         pair = f.split(random_unit_imaginary(rng))
@@ -67,7 +73,8 @@ def test_criterion_01_representation_formula():
         pts *= (0.98 * rng.uniform(size=100) ** 0.25 / np.linalg.norm(pts, axis=1))[:, None]
         for row in pts:
             q = Quaternion.from_components(row)
-            worst = max(worst, abs(pair.extend(q) - f.eval(q)))
+            errors.append(abs(pair.extend(q) - f.eval(q)))
+    worst = _worst(errors)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     report(1, "representation-formula", ok, "max residual %.2e in %.1fs" % (worst, elapsed))
@@ -78,26 +85,26 @@ def test_criterion_01_representation_formula():
 def test_criterion_02_star_algebra():
     rng = np.random.default_rng([SEED, 2])
     start = time.perf_counter()
-    worst_assoc = worst_unit = worst_real = worst_recip = 0.0
+    assoc, unit, real, recip = [], [], [], []
     one = SliceSeries.constant(ONE)
     for _ in range(200):
         f, g, h = (make_series(rng, int(rng.integers(0, 6))) for _ in range(3))
         d = f.star(g).star(h) - f.star(g.star(h))
-        worst_assoc = max(worst_assoc, float(np.abs(d.coeffs).max()))
-        worst_unit = max(worst_unit,
-                         float(np.abs(one.star(f).coeffs - f.coeffs).max()),
-                         float(np.abs(f.star(one).coeffs - f.coeffs).max()))
+        assoc.append(np.abs(d.coeffs).max())
+        unit.append(np.abs(one.star(f).coeffs - f.coeffs).max())
+        unit.append(np.abs(f.star(one).coeffs - f.coeffs).max())
         r = make_series(rng, 10)
-        worst_real = max(worst_real, float(np.abs(r.star(r.conjugate()).coeffs[:, 1:]).max()))
+        real.append(np.abs(r.star(r.conjugate()).coeffs[:, 1:]).max())
         while abs(r.coefficient(0)) < 0.1:
             r = make_series(rng, 10)
         rec = r.star_reciprocal(10)
         resid = r.star(rec, cap=10).coeffs.copy()
         resid[0, 0] -= 1.0
         scale = 1.0 + float(np.linalg.norm(rec.coeffs, axis=1).max())
-        worst_recip = max(worst_recip, float(np.abs(resid).max()) / scale)
+        recip.append(np.abs(resid).max() / scale)
+    worst_assoc, worst_unit, worst_real, worst_recip = map(_worst, (assoc, unit, real, recip))
     elapsed = time.perf_counter() - start
-    worst = max(worst_assoc, worst_unit, worst_real, worst_recip)
+    worst = _worst([worst_assoc, worst_unit, worst_real, worst_recip])
     ok = worst <= 1e-10 and elapsed < 5.0
     report(2, "star-algebra", ok,
            "assoc %.1e unit %.1e real %.1e recip %.1e in %.1fs"
@@ -114,7 +121,7 @@ def test_criterion_02_star_algebra():
 def test_criterion_03_pointwise_star_identity():
     rng = np.random.default_rng([SEED, 3])
     start = time.perf_counter()
-    worst = 0.0
+    errors = []
     for trial in range(500):
         g = make_series(rng, 4)
         if trial < 50:
@@ -123,7 +130,8 @@ def test_criterion_03_pointwise_star_identity():
         else:
             f = make_series(rng, 4)
             q = ball_point(rng)
-        worst = max(worst, pointwise_star_residual(f, g, q))
+        errors.append(pointwise_star_residual(f, g, q))
+    worst = _worst(errors)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 5.0
     report(3, "pointwise-star-identity", ok, "max residual %.2e in %.1fs" % (worst, elapsed))
@@ -158,13 +166,14 @@ def test_criterion_04_norm_sandwich():
 
 def test_criterion_05_quadrature_calibration():
     start = time.perf_counter()
-    worst = 0.0
+    errors = []
     for alpha in (0.5, 1.0, 2.0):
         grid = build_polar_grid(64, 256, 1.0)
-        worst = max(worst, abs(grid.gaussian_mass(alpha) - gaussian_disk_mass(alpha, 1.0)))
+        errors.append(abs(grid.gaussian_mass(alpha) - gaussian_disk_mass(alpha, 1.0)))
         diag = gram_table(FockParams(alpha=alpha, degree=12)).diag
         for m in range(13):
-            worst = max(worst, abs(diag[m] - monomial_gram_reference(m, alpha, 1.0)))
+            errors.append(abs(diag[m] - monomial_gram_reference(m, alpha, 1.0)))
+    worst = _worst(errors)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0
     report(5, "quadrature-calibration", ok, "max error %.2e in %.1fs" % (worst, elapsed))
@@ -178,11 +187,12 @@ def test_criterion_06_orthogonality():
     grid = build_grid(params)
     diag = gram_table(params, grid).diag
     monos = [SliceSeries.monomial(m) for m in range(13)]
-    worst = 0.0
+    errors = []
     for m in range(13):
         for n in range(m + 1, 13):
             ip = inner_product(monos[m], monos[n], I, params, grid)
-            worst = max(worst, abs(ip) / math.sqrt(diag[m] * diag[n]))
+            errors.append(abs(ip) / math.sqrt(diag[m] * diag[n]))
+    worst = _worst(errors)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
     report(6, "orthogonality", ok, "max relative pairing %.2e in %.1fs" % (worst, elapsed))
@@ -221,9 +231,7 @@ def _reproduction_worst(params: FockParams, corrected: bool, expected_factor=Non
         factor = 1.0 if expected_factor is None else expected_factor(m)
         for q in points:
             errors.append(abs(series.eval(q) - mono.eval(q) * factor))
-    # np.max propagates NaN, so a non-finite evaluation fails every caller's
-    # tolerance comparison (the builtin max(0.0, nan) would return 0.0)
-    return float(np.max(errors))
+    return _worst(errors)
 
 
 def test_criterion_08_reproducing_disk_corrected():

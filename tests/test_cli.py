@@ -188,3 +188,10 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys):
 
 def test_bad_flag_value_exits_2(capsys):
     assert main(["verify", "--alpha", "-3", "--checks", "quad-calibration"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--p", "nan"),
+                                         ("--p", "inf"), ("--radius", "inf")])
+def test_nonfinite_parameter_exits_2(flag, value, capsys):
+    assert main(["verify", flag, value, "--checks", "quad-calibration"]) == 2
+    assert "must be finite" in capsys.readouterr().err

@@ -25,8 +25,10 @@ from slicefock import (
     project_T,
     projection_series,
     sample_on_grid,
+    slice_sample,
     star_exponential,
 )
+from slicefock.fock import slice_abs_sq
 from slicefock.quaternions import random_unit_imaginary
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
@@ -48,6 +50,16 @@ def test_params_validation():
         FockParams(n_r=2)
     assert FockParams(domain="plane", radius=3.0).r_max == 3.0
     assert FockParams().r_max == 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("alpha", math.inf), ("p", math.nan), ("p", math.inf),
+    ("radius", math.nan), ("radius", math.inf),
+])
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_params_reject_nonfinite(field, value, domain):
+    with pytest.raises(ValueError, match="finite"):
+        FockParams(domain=domain, **{field: value})
 
 
 # -- norms ------------------------------------------------------------------------
@@ -106,6 +118,87 @@ def test_sup_norm_requires_enough_slices(rng):
     f = make_series(rng, 3)
     with pytest.raises(ValueError):
         fock_norm(f, FockParams(n_slices=4))
+
+
+def test_sup_norm_propagates_nan(rng):
+    coeffs = rng.standard_normal((5, 4))
+    coeffs[2, 1] = math.nan
+    sup = fock_norm_sup(SliceSeries(coeffs), FockParams(n_slices=8))
+    assert math.isnan(sup.value)
+    assert isinstance(sup.axis, Quaternion)
+
+
+def _split_abs_sq(f, u, grid):
+    """|f|^2 on the slice of u through the split pair: an independent fill."""
+    f1, f2 = f.split(u).eval_components(grid.z)
+    return np.abs(f1) ** 2 + np.abs(f2) ** 2
+
+
+def _reference_norm(abs_sq, grid, alpha, p):
+    """The weighted slice p-norm, reduced node by node as its definition reads."""
+    weighted = (abs_sq * np.exp(-alpha * np.abs(grid.z) ** 2)) ** (0.5 * p)
+    integral = float(np.sum(weighted * grid.area_weights))
+    return (alpha * p / (2.0 * math.pi) * integral) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_stacked_fill_matches_split_fill(domain, rng):
+    params = FockParams(domain=domain, n_r=16, n_theta=64, n_slices=8)
+    grid = build_grid(params)
+    axes = slice_sample(params.n_slices) + [random_unit_imaginary(rng) for _ in range(4)]
+    for degree in range(33):
+        f = make_series(rng, degree)
+        stacked = slice_abs_sq(f, axes, grid)
+        assert stacked.shape == (len(axes), grid.size)
+        for row, u in zip(stacked, axes):
+            want = _split_abs_sq(f, u, grid)
+            assert np.abs(row - want).max() <= 1e-13 * want.max()
+            assert np.array_equal(slice_abs_sq(f, u, grid), row)
+
+
+def test_fill_rejects_non_unit_axis(rng):
+    grid = build_grid(FockParams(n_r=8, n_theta=8))
+    f = make_series(rng, 2)
+    for bad in (Quaternion(0, 2, 0, 0), Quaternion(1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="unit imaginary"):
+            slice_abs_sq(f, bad, grid)
+        with pytest.raises(ValueError, match="unit imaginary"):
+            slice_abs_sq(f, [I, bad], grid)
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_sup_norm_is_the_largest_sampled_slice_norm(domain, rng):
+    params = FockParams(domain=domain, p=3.0, n_slices=16)
+    grid = build_grid(params)
+    axes = slice_sample(params.n_slices)
+    for degree in (0, 1, 5, 10):
+        f = make_series(rng, degree)
+        sup = fock_norm_sup(f, params, grid)
+        norms = [fock_norm_slice(f, u, params, grid) for u in axes]
+        assert sup.value == max(norms)
+        assert fock_norm_slice(f, sup.axis, params, grid) == sup.value
+        assert sup.axis in axes
+
+
+@pytest.mark.parametrize("p", [4.0 / 3.0, 3.0])
+def test_norm_finite_at_a_zero_on_a_grid_node(p, rng):
+    # (q - r_k u) * g vanishes at q = r_k u, the node (k, theta = pi/2) of the
+    # slice of u; there A + 2 u.B rounds to about -1e-14, and a fractional
+    # power of an unclamped negative value is NaN
+    params = FockParams(p=p)
+    grid = build_grid(params)
+    quarter = params.n_theta // 4
+    for _ in range(20):
+        u = random_unit_imaginary(rng)
+        k = int(rng.integers(params.n_r))
+        r_k = float(grid.r[k])
+        assert abs(grid.z[k * params.n_theta + quarter] - 1j * r_k) <= 1e-15
+        root = SliceSeries.from_quaternions([u * (-r_k), ONE])
+        f = root.star(make_series(rng, int(rng.integers(1, 6))))
+        val = fock_norm_slice(f, u, params, grid)
+        want = _reference_norm(_split_abs_sq(f, u, grid), grid, params.alpha, p)
+        assert math.isfinite(val)
+        assert abs(val - want) <= 1e-12 * want
 
 
 # -- inner product ------------------------------------------------------------------
