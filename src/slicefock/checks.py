@@ -2,9 +2,10 @@
 
 Each check draws its own deterministic random data from the run seed and
 its own identifier, so records do not depend on which other checks run.
-Outcomes follow one convention: a check passes when lhs <= rhs*(1+slack),
-and margin = rhs*(1+slack) - lhs.  Identity-style checks put the worst
-residual in lhs and the tolerance in rhs with zero slack.
+Outcomes follow one convention: a check passes when lhs <= rhs*(1+slack)
+with lhs and rhs finite, and margin = rhs*(1+slack) - lhs.  Identity-style
+checks put the worst residual in lhs and the tolerance in rhs with zero
+slack.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class CheckOutcome:
 def _outcome(lhs: float, rhs: float, constant: float = 0.0, slack: float = 0.0,
              also: bool = True, note: str = "") -> CheckOutcome:
     bound = rhs * (1.0 + slack)
-    passed = bool(lhs <= bound) and also
+    passed = bool(lhs <= bound) and also and math.isfinite(lhs) and math.isfinite(rhs)
     return CheckOutcome(float(lhs), float(rhs), float(constant),
                         float(bound - lhs), passed, note)
 
@@ -131,14 +132,14 @@ def _check_split_roundtrip(config) -> CheckOutcome:
 
 def _check_rep_formula(config) -> CheckOutcome:
     rng = _rng_for(config, "rep-formula")
-    worst = 0.0
+    errors = []
     for _ in range(100):
         f = _series(rng, int(rng.integers(0, 11)))
         pair = f.split(random_unit_imaginary(rng))
         for point in _ball_points(rng, 100):
             q = Quaternion.from_components(point)
-            worst = max(worst, abs(pair.extend(q) - f.eval(q)))
-    return _outcome(worst, 1e-12)
+            errors.append(abs(pair.extend(q) - f.eval(q)))
+    return _outcome(np.max(errors), 1e-12)
 
 
 def _check_star_reciprocal(config) -> CheckOutcome:
@@ -408,14 +409,13 @@ def _reproduction_error(config, params: FockParams, corrected: bool) -> float:
     rng = _rng_for(config, "rep-kernel")
     grid = build_grid(params)
     points = [Quaternion.from_components(c) for c in _ball_points(rng, 20, r_scale=0.95)]
-    worst = 0.0
+    errors = []
     for m in range(9):
         mono = SliceSeries.monomial(m)
         samples = sample_on_grid(mono, I, grid)
         proj = projection_series(samples, I, params, grid, corrected=corrected)
-        for q in points:
-            worst = max(worst, abs(proj.eval(q) - mono.eval(q)))
-    return worst
+        errors.extend(abs(proj.eval(q) - mono.eval(q)) for q in points)
+    return float(np.max(errors))
 
 
 def _check_rep_kernel_disk(config) -> CheckOutcome:

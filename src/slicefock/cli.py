@@ -28,6 +28,8 @@ from .quaternions import I, Quaternion
 from .reference import monomial_gram_reference
 from .series import SeriesFormatError, read_series
 
+# config-file key -> (RunConfig field, type); the command-line flag of a key
+# is --<key>, read back from argparse as the key with "-" replaced by "_"
 _CONFIG_KEYS = {
     "alpha": ("alpha", float),
     "p": ("p", float),
@@ -98,24 +100,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(_parse_config_file(args.config))
-    flag_map = {
-        "alpha": "alpha", "p": "p", "domain": "domain", "radius": "radius",
-        "degree": "degree", "quad_r": "n_r", "quad_theta": "n_theta",
-        "slices": "n_slices", "seed": "seed", "n_series": "n_series",
-        "max_degree": "max_degree", "out": "out", "format": "fmt",
-    }
-    for flag, attr in flag_map.items():
-        val = getattr(args, flag, None)
+    for key, (attr, _) in _CONFIG_KEYS.items():
+        val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             values[attr] = val
-    checks = values.pop("checks", None)
-    if getattr(args, "checks", None) is not None:
-        checks = args.checks
-    if isinstance(checks, str):
-        names = tuple(c.strip() for c in checks.split(",") if c.strip())
-        values["checks"] = names
-    elif checks is not None:
-        values["checks"] = tuple(checks)
+    if "checks" in values:
+        values["checks"] = tuple(c.strip() for c in values["checks"].split(",") if c.strip())
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:

@@ -30,6 +30,10 @@ The weighted reduction folds the Gaussian into a radial weight,
 (|f|^2 e^(-alpha r^2))^(p/2) = |f|^p e^(-alpha p r^2 / 2), so the fractional
 power runs once per exponent p, and sums over angles before radii.
 
+The single-slice paths (inner product, grid samples, projection) split f
+as F + G v in the frame (1, u, v, uv) of ``quaternions.slice_frame`` instead,
+through ``to_frame``/``from_frame``: two complex Horner rows, not four.
+
 All reductions are plain ordered numpy sums over immutable grids (no BLAS),
 so equal inputs give bit-identical outputs whatever the thread count.
 """
@@ -43,7 +47,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .quadrature import PolarGrid, build_polar_grid, slice_sample
-from .quaternions import Quaternion, compose_basis, orthogonal_unit
+from .quaternions import Quaternion, check_unit_imaginary, from_frame, slice_frame, to_frame
 from .series import SliceSeries, star_exponential
 
 __all__ = [
@@ -51,7 +55,6 @@ __all__ = [
     "GramTable",
     "SupNorm",
     "build_grid",
-    "slice_values",
     "slice_abs_sq",
     "slice_norms",
     "fock_norm_slice",
@@ -129,11 +132,6 @@ def build_grid(params: FockParams) -> PolarGrid:
     return build_polar_grid(params.n_r, params.n_theta, params.r_max)
 
 
-def slice_values(f: SliceSeries, u: Quaternion, grid: PolarGrid):
-    """Complex component values (f1, f2) of f restricted to the slice of u."""
-    return f.split(u).eval_components(grid.z)
-
-
 def _stem_terms(f: SliceSeries, grid: PolarGrid):
     """(A, B) with |f|^2 = A + 2 u.B at the grid nodes of every slice u.
 
@@ -176,8 +174,7 @@ def _slice_rows(a: np.ndarray, b: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 
 def _axis_components(u: Quaternion) -> np.ndarray:
-    if abs(u.x0) > 1e-9 or abs(u.norm_sq - 1.0) > 1e-9:
-        raise ValueError("slice axis must be a unit imaginary quaternion")
+    check_unit_imaginary(u)
     return u.imag_vector
 
 
@@ -285,11 +282,12 @@ def inner_product(f: SliceSeries, g: SliceSeries, u: Quaternion, params: FockPar
     if grid is None:
         grid = build_grid(params)
     lam = grid.gaussian_weights(params.alpha)
-    f1, f2 = slice_values(f, u, grid)
-    g1, g2 = slice_values(g, u, grid)
+    split_f = f.split(u)
+    f1, f2 = split_f.eval_components(grid.z)
+    g1, g2 = g.split(u).eval_components(grid.z)
     a = np.sum((np.conj(f1) * g1 + f2 * np.conj(g2)) * lam)
     b = np.sum((np.conj(f1) * g2 - f2 * np.conj(g1)) * lam)
-    return compose_basis(complex(a), complex(b), u, orthogonal_unit(u))
+    return Quaternion.from_components(from_frame(a, b, split_f.frame))
 
 
 @dataclass(frozen=True)
@@ -364,24 +362,6 @@ def corrected_kernel_eval(q: Quaternion, w: Quaternion, params: FockParams,
     return corrected_kernel_series(w, params, gram).eval(q)
 
 
-def _split_samples(samples: np.ndarray, u: Quaternion):
-    """Complex coordinates of quaternion samples in the basis (1, u, J, uJ)."""
-    if abs(u.x0) > 1e-9 or abs(u.norm_sq - 1.0) > 1e-9:
-        raise ValueError("slice axis must be a unit imaginary quaternion")
-    v = orthogonal_unit(u)
-    uv = u * v
-    s = np.asarray(samples, dtype=float)
-    if s.ndim != 2 or s.shape[1] != 4:
-        raise ValueError("samples must form an (n, 4) component array")
-
-    def dot(direction: np.ndarray) -> np.ndarray:
-        return np.sum(s * direction[None, :], axis=1)
-
-    c1 = s[:, 0] + 1j * dot(u.as_array())
-    c2 = dot(v.as_array()) + 1j * dot(uv.as_array())
-    return c1, c2, v
-
-
 def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
                       grid: Optional[PolarGrid] = None, *,
                       corrected: bool = False) -> SliceSeries:
@@ -404,7 +384,10 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     if s.shape[0] != grid.size:
         raise ValueError("samples do not match the grid: %d values for %d nodes"
                          % (s.shape[0], grid.size))
-    c1, c2, v = _split_samples(s, u)
+    frame = slice_frame(u)
+    if s.ndim != 2 or s.shape[1] != 4:
+        raise ValueError("samples must form an (n, 4) component array")
+    c1, c2 = to_frame(s, frame)
     lam = grid.gaussian_weights(params.alpha)
     zbar = np.conj(grid.z)
     if corrected:
@@ -418,14 +401,14 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     w1 = c1 * lam
     w2 = c2 * lam
     pw = np.ones_like(zbar)
-    rows = np.zeros((params.degree + 1, 4))
+    a = np.empty(params.degree + 1, dtype=complex)
+    b = np.empty(params.degree + 1, dtype=complex)
     for n in range(params.degree + 1):
-        a = complex(np.sum(pw * w1)) * scale[n]
-        b = complex(np.sum(pw * w2)) * scale[n]
-        rows[n] = compose_basis(a, b, u, v).as_array()
+        a[n] = np.sum(pw * w1)
+        b[n] = np.sum(pw * w2)
         if n < params.degree:
             pw = pw * zbar
-    return SliceSeries(rows)
+    return SliceSeries(from_frame(a * scale, b * scale, frame))
 
 
 def project_T(samples: np.ndarray, q: Quaternion, u: Quaternion, params: FockParams,
@@ -437,10 +420,4 @@ def project_T(samples: np.ndarray, q: Quaternion, u: Quaternion, params: FockPar
 def sample_on_grid(f: SliceSeries, u: Quaternion, grid: PolarGrid) -> np.ndarray:
     """Values of f at the grid nodes of the slice of u, as (n, 4) components."""
     pair = f.split(u)
-    f1, f2 = pair.eval_components(grid.z)
-    basis_1 = np.array([1.0, 0.0, 0.0, 0.0])
-    basis_u = pair.axis_i.as_array()
-    basis_v = pair.axis_j.as_array()
-    basis_uv = (pair.axis_i * pair.axis_j).as_array()
-    return (np.real(f1)[:, None] * basis_1 + np.imag(f1)[:, None] * basis_u
-            + np.real(f2)[:, None] * basis_v + np.imag(f2)[:, None] * basis_uv)
+    return from_frame(*pair.eval_components(grid.z), pair.frame)

@@ -1,9 +1,11 @@
-"""Quaternion arithmetic, the imaginary unit sphere, and slice coordinates.
+"""Quaternion arithmetic, the unit imaginary sphere, slice coordinates and frames.
 
 Components are (x0, x1, x2, x3) over the basis (1, i, j, k) with the
 multiplication rules ij = -ji = k, jk = -kj = i, ki = -ik = j.  Values are
 immutable; every operation returns a fresh ``Quaternion``, so all functions
-here are pure and safe to call concurrently.
+here are pure and safe to call concurrently.  ``slice_frame`` is the one
+place that fixes the basis (1, u, v, uv) in which quaternion data on the
+slice of u becomes a pair of complex numbers and back.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ __all__ = [
     "axis",
     "slice_coords",
     "orthogonal_unit",
+    "check_unit_imaginary",
+    "slice_frame",
+    "to_frame",
+    "from_frame",
     "decompose_basis",
     "compose_basis",
     "hamilton",
@@ -38,9 +44,11 @@ __all__ = [
 # not acquire a spurious axis from rounding noise.
 AXIS_EPS = 1e-13
 
-# Gram-Schmidt in orthogonal_unit degrades near the reference direction;
-# below this projection gap the fixed fallback direction is used instead.
-_FALLBACK_GAP = 1e-8
+# orthogonal_unit normalizes the residual of j against u, whose norm
+# sqrt(1 - u_y^2) divides its rounding error; above |u_y| = 1 - gap it uses k,
+# whose residual has norm sqrt(1 - u_z^2) >= |u_y|.  Gap 0.5 keeps both norms
+# >= 0.5, so u.v is a few ulps for every axis (a tiny gap gives eps/sqrt(gap)).
+_FALLBACK_GAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -222,6 +230,12 @@ def slice_coords(q: Quaternion) -> SliceCoords:
     return SliceCoords(q.x0, y, axis(q))
 
 
+def check_unit_imaginary(u: Quaternion) -> None:
+    """Raise unless u is a unit imaginary quaternion, i.e. a slice axis."""
+    if abs(u.x0) > 1e-9 or abs(u.norm_sq - 1.0) > 1e-9:
+        raise ValueError("slice axis must be a unit imaginary quaternion")
+
+
 def orthogonal_unit(u: Quaternion) -> Quaternion:
     """Deterministic unit imaginary orthogonal to u (so the two anticommute).
 
@@ -243,6 +257,36 @@ def orthogonal_unit(u: Quaternion) -> Quaternion:
     return Quaternion(0.0, w[0], w[1], w[2])
 
 
+def _frame(u: Quaternion, v: Quaternion) -> np.ndarray:
+    frame = np.stack([ONE.as_array(), u.as_array(), v.as_array(), (u * v).as_array()])
+    frame.flags.writeable = False
+    return frame
+
+
+def slice_frame(u: Quaternion) -> np.ndarray:
+    """Orthonormal slice basis of u: a (4, 4) array with rows 1, u, v, uv.
+
+    v = orthogonal_unit(u); a = (c1.re + c1.im u) + (c2.re + c2.im u) v
+    gives the complex coordinates (c1, c2) of to_frame and from_frame.
+    """
+    check_unit_imaginary(u)
+    return _frame(u, orthogonal_unit(u))
+
+
+def to_frame(comps: np.ndarray, frame: np.ndarray):
+    """Complex coordinates (c1, c2) of (..., 4) components in a slice frame."""
+    c = np.asarray(comps, dtype=float)
+    cu, cv, cuv = (np.sum(c * row, axis=-1) for row in frame[1:])
+    return c[..., 0] + 1j * cu, cv + 1j * cuv
+
+
+def from_frame(c1, c2, frame: np.ndarray) -> np.ndarray:
+    """(..., 4) components c1.re + c1.im u + c2.re v + c2.im uv; inverse of to_frame."""
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    return (c1.real[..., None] * frame[0] + c1.imag[..., None] * frame[1]
+            + c2.real[..., None] * frame[2] + c2.imag[..., None] * frame[3])
+
+
 def _check_slice_basis(u: Quaternion, v: Quaternion, tol: float = 1e-10) -> None:
     if abs(u.x0) > tol or abs(v.x0) > tol:
         raise ValueError("slice basis units must be purely imaginary")
@@ -258,25 +302,16 @@ def decompose_basis(a: Quaternion, u: Quaternion, v: Quaternion) -> tuple[comple
 
     (1, u, v, u*v) is an orthonormal real basis of the quaternions whenever
     u and v are orthogonal unit imaginaries, so the coordinates are plain
-    Euclidean projections.  Raises if (u, v) fail to anticommute.
+    Euclidean projections (to_frame).  Raises if (u, v) fail to anticommute.
     """
     _check_slice_basis(u, v)
-    uv = u * v
-    av = a.as_array()
-    z = complex(a.x0, float(av @ u.as_array()))
-    w = complex(float(av @ v.as_array()), float(av @ uv.as_array()))
-    return z, w
+    z, w = to_frame(a.as_array(), _frame(u, v))
+    return complex(z), complex(w)
 
 
 def compose_basis(z: complex, w: complex, u: Quaternion, v: Quaternion) -> Quaternion:
     """Inverse of decompose_basis: (z.re + z.im*u) + (w.re + w.im*u)*v."""
-    uv = u * v
-    return Quaternion(
-        z.real + z.imag * u.x0 + w.real * v.x0 + w.imag * uv.x0,
-        z.imag * u.x1 + w.real * v.x1 + w.imag * uv.x1,
-        z.imag * u.x2 + w.real * v.x2 + w.imag * uv.x2,
-        z.imag * u.x3 + w.real * v.x3 + w.imag * uv.x3,
-    )
+    return Quaternion.from_components(from_frame(z, w, _frame(u, v)))
 
 
 def random_unit_imaginary(rng: np.random.Generator) -> Quaternion:

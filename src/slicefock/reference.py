@@ -30,9 +30,10 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     right = _simpson(f, m, fm, b, fb, rm, frm)
     delta = left + right - whole
     # the rounding floor keeps huge-magnitude integrals from subdividing
-    # past the precision the arithmetic can deliver
+    # past the precision the arithmetic can deliver; a NaN delta stops too,
+    # since bisecting cannot make it finite
     stop = 15.0 * max(tol, 4e-16 * (abs(left) + abs(right)))
-    if depth <= 0 or abs(delta) <= stop:
+    if depth <= 0 or not abs(delta) > stop:
         return left + right + delta / 15.0
     return (_adapt(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
             + _adapt(f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))

@@ -6,7 +6,9 @@ convolution (it preserves this form; the pointwise product does not), the
 regular conjugate conjugates coefficients, and the star reciprocal inverts
 through the real-coefficient symmetrization.  Splitting a series along a
 slice yields two ordinary complex series; the extension operator rebuilds
-values anywhere from those two.
+values anywhere from those two.  The slice basis (1, u, v, uv) behind the
+split is ``quaternions.slice_frame``; splitting and recombining are
+``to_frame`` and ``from_frame`` in that frame.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import numpy as np
 from .quaternions import (
     ONE,
     Quaternion,
-    compose_basis,
+    from_frame,
     hamilton,
-    orthogonal_unit,
     slice_coords,
+    slice_frame,
+    to_frame,
 )
 
 __all__ = [
@@ -216,50 +219,40 @@ class SliceSeries:
     def split(self, u: Quaternion) -> "SplitPair":
         """Split along the slice of u into two complex-coefficient series.
 
-        The companion unit is orthogonal_unit(u), so the pair determines the
-        series exactly: a_n = c1_n + c2_n * J in the basis (1, u, J, uJ).
+        The frame is slice_frame(u) = (1, u, v, uv), so the pair determines
+        the series exactly: a_n = c1_n + c2_n * v.
         """
-        if abs(u.x0) > 1e-9 or abs(u.norm_sq - 1.0) > 1e-9:
-            raise ValueError("slice axis must be a unit imaginary quaternion")
-        v = orthogonal_unit(u)
-        uv = u * v
-        c = self.coeffs
-        c1 = c[:, 0] + 1j * np.sum(c * u.as_array()[None, :], axis=1)
-        c2 = (np.sum(c * v.as_array()[None, :], axis=1)
-              + 1j * np.sum(c * uv.as_array()[None, :], axis=1))
-        return SplitPair(c1, c2, u, v)
+        frame = slice_frame(u)
+        return SplitPair(*to_frame(self.coeffs, frame), frame)
 
 
 @dataclass(frozen=True)
 class SplitPair:
-    """Two complex series (c1, c2) over a slice basis (axis_i, axis_j)."""
+    """Two complex series (c1, c2) over a slice frame (rows 1, u, v, uv)."""
 
     c1: np.ndarray
     c2: np.ndarray
-    axis_i: Quaternion
-    axis_j: Quaternion
+    frame: np.ndarray
 
     def __post_init__(self):
         c1 = np.asarray(self.c1, dtype=complex).copy()
         c2 = np.asarray(self.c2, dtype=complex).copy()
         if c1.shape != c2.shape or c1.ndim != 1:
             raise ValueError("split components must be 1-D arrays of equal length")
-        c1.flags.writeable = False
-        c2.flags.writeable = False
+        frame = np.array(self.frame, dtype=float).reshape(4, 4)
+        for a in (c1, c2, frame):
+            a.flags.writeable = False
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "frame", frame)
 
     @property
     def degree(self) -> int:
         return self.c1.shape[0] - 1
 
     def recombine(self) -> SliceSeries:
-        """Rebuild the quaternion series: a_n = c1_n + c2_n * axis_j."""
-        rows = [
-            compose_basis(z, w, self.axis_i, self.axis_j).as_array()
-            for z, w in zip(self.c1, self.c2)
-        ]
-        return SliceSeries(np.stack(rows))
+        """Rebuild the quaternion series: a_n = c1_n + c2_n * v."""
+        return SliceSeries(from_frame(self.c1, self.c2, self.frame))
 
     def eval_components(self, z):
         """Evaluate both complex series at z (scalar or array), by Horner."""
@@ -273,8 +266,7 @@ class SplitPair:
 
     def eval_slice(self, z: complex) -> Quaternion:
         """Value of the recombined slice function at z in the slice plane."""
-        f1, f2 = self.eval_components(z)
-        return compose_basis(complex(f1), complex(f2), self.axis_i, self.axis_j)
+        return Quaternion.from_components(from_frame(*self.eval_components(z), self.frame))
 
     def extend(self, q: Quaternion) -> Quaternion:
         """Slice-regular extension evaluated at an arbitrary quaternion.
@@ -289,7 +281,7 @@ class SplitPair:
         z = complex(x, y)
         fz = self.eval_slice(z)
         fzbar = self.eval_slice(z.conjugate())
-        u = self.axis_i
+        u = Quaternion.from_components(self.frame[1])
         half = Quaternion.real(0.5)
         return half * ((ONE - iq * u) * fz + (ONE + iq * u) * fzbar)
 

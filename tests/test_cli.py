@@ -6,8 +6,8 @@ import stat
 
 import pytest
 
-from slicefock import SliceSeries, write_series
-from slicefock.cli import main
+from slicefock import RunConfig, SliceSeries, write_series
+from slicefock.cli import _CONFIG_KEYS, _build_config, build_parser, main
 
 
 @pytest.fixture
@@ -195,3 +195,21 @@ def test_bad_flag_value_exits_2(capsys):
 def test_nonfinite_parameter_exits_2(flag, value, capsys):
     assert main(["verify", flag, value, "--checks", "quad-calibration"]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+CONFIG_SAMPLES = {
+    "alpha": "0.5", "p": "3", "domain": "plane", "radius": "5", "degree": "7",
+    "quad-r": "16", "quad-theta": "32", "slices": "9", "seed": "3", "n-series": "2",
+    "max-degree": "4", "checks": "star-assoc, split-roundtrip", "out": "reports/run",
+    "format": "csv",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_config_key_and_verify_flag_build_equal_configs(key, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s=%s\n" % (key, CONFIG_SAMPLES[key]))
+    parser = build_parser()
+    from_file = _build_config(parser.parse_args(["verify", "--config", str(cfg)]))
+    from_flag = _build_config(parser.parse_args(["verify", "--" + key, CONFIG_SAMPLES[key]]))
+    assert from_file == from_flag != RunConfig()

@@ -34,6 +34,20 @@ def test_adaptive_simpson_on_polynomials():
     assert adaptive_simpson(lambda t: t, 1.0, 1.0) == 0.0
 
 
+def test_adaptive_simpson_stops_on_nan():
+    calls = 0
+
+    def integrand(t):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise RuntimeError("still bisecting a NaN integrand")
+        return math.nan
+
+    assert math.isnan(adaptive_simpson(integrand, 0.0, 1.0))
+    assert calls == 5
+
+
 @pytest.mark.parametrize("s", [1.0, 2.0, 4.5, 9.0, 13.0])
 @pytest.mark.parametrize("x", [0.25, 1.0, 2.0, 16.0])
 def test_lower_incomplete_gamma_vs_scipy(s, x):

@@ -20,7 +20,13 @@ from slicefock import (
     orthogonal_unit,
     slice_coords,
 )
-from slicefock.quaternions import hamilton, random_unit_imaginary
+from slicefock.quaternions import (
+    from_frame,
+    hamilton,
+    random_unit_imaginary,
+    slice_frame,
+    to_frame,
+)
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
@@ -148,6 +154,18 @@ def test_orthogonal_unit_near_reference_falls_back():
     assert v == K
 
 
+def test_orthogonal_unit_well_conditioned_near_j():
+    # axes within 1e-3 of +/-j, where Gram-Schmidt of j against u cancels
+    rng = np.random.default_rng(7)
+    for sign in (1.0, -1.0):
+        for _ in range(500):
+            w = np.array([0.0, sign, 0.0]) + 1e-3 * rng.uniform() * rng.standard_normal(3) / 2.0
+            u = Quaternion(0.0, *(w / np.linalg.norm(w)))
+            v = orthogonal_unit(u)
+            assert abs(float(np.dot(u.imag_vector, v.imag_vector))) <= 1e-15
+            assert abs(v) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_orthogonal_unit_rejects_reals():
     with pytest.raises(ValueError):
         orthogonal_unit(Quaternion.real(2.0))
@@ -184,6 +202,45 @@ def test_decompose_compose_roundtrip(rng):
         z, w = decompose_basis(a, u, v)
         back = compose_basis(z, w, u, v)
         assert abs(back - a) <= 1e-14 * (1.0 + abs(a))
+
+
+def test_decompose_compose_coordinate_axes_bit_exact(rng):
+    for _ in range(100):
+        a = Quaternion.from_components(rng.standard_normal(4) * 3)
+        for u in (I, J, K):
+            v = orthogonal_unit(u)
+            assert compose_basis(*decompose_basis(a, u, v), u, v) == a
+
+
+def test_slice_frame_rows_and_validation():
+    assert np.array_equal(slice_frame(I), np.eye(4))
+    u = random_unit_imaginary(np.random.default_rng(3))
+    frame = slice_frame(u)
+    v = orthogonal_unit(u)
+    assert np.array_equal(frame, np.stack([ONE.as_array(), u.as_array(), v.as_array(),
+                                           (u * v).as_array()]))
+    assert np.abs(frame @ frame.T - np.eye(4)).max() <= 1e-15
+    for bad in (Quaternion(0, 2, 0, 0), Quaternion(0.5, 0, 0, 1), Quaternion()):
+        with pytest.raises(ValueError, match="unit imaginary"):
+            slice_frame(bad)
+
+
+def test_frame_vectorized_roundtrip(rng):
+    comps = rng.standard_normal((6, 50, 4)) * 3
+    for _ in range(20):
+        u = random_unit_imaginary(rng)
+        frame = slice_frame(u)
+        c1, c2 = to_frame(comps, frame)
+        assert c1.shape == c2.shape == comps.shape[:-1]
+        back = from_frame(c1, c2, frame)
+        assert np.abs(back - comps).max() <= 1e-15 * (1.0 + np.abs(comps).max())
+        # the stacked transform is the scalar one applied row by row
+        v = orthogonal_unit(u)
+        for row, z, w in zip(comps[2], c1[2], c2[2]):
+            assert decompose_basis(Quaternion.from_components(row), u, v) == (z, w)
+    for u in (I, J, K):
+        frame = slice_frame(u)
+        assert np.array_equal(from_frame(*to_frame(comps, frame), frame), comps)
 
 
 def test_decompose_is_linear(rng):
