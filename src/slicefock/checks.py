@@ -5,21 +5,21 @@ its own identifier, so records do not depend on which other checks run.
 Outcomes follow one convention: a check passes when lhs <= rhs*(1+slack)
 with lhs and rhs finite, and margin = rhs*(1+slack) - lhs.  Identity-style
 checks put the worst residual in lhs and the tolerance in rhs with zero
-slack.
+slack.  A check's config is also the FockParams of its integrals; a check
+that needs other parameters passes dataclasses.replace(config, ...).
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import reference
 from .fock import (
-    FockParams,
     build_grid,
     gram_table,
     inner_product,
@@ -195,8 +195,7 @@ def _check_quad_calibration(config) -> CheckOutcome:
 def _check_gram_oracle(config) -> CheckOutcome:
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
-        params = FockParams(alpha=alpha, n_r=config.n_r, n_theta=config.n_theta, degree=12)
-        table = gram_table(params)
+        table = gram_table(replace(config, alpha=alpha, domain="disk", degree=12))
         for m in range(13):
             ref = reference.monomial_gram_reference(m, alpha, 1.0)
             worst = max(worst, abs(table.diag[m] - ref))
@@ -204,7 +203,7 @@ def _check_gram_oracle(config) -> CheckOutcome:
 
 
 def _check_orthogonality(config) -> CheckOutcome:
-    params = FockParams(alpha=config.alpha, n_r=config.n_r, n_theta=config.n_theta, degree=12)
+    params = replace(config, domain="disk", degree=12)
     grid = build_grid(params)
     diag = gram_table(params, grid).diag
     worst = 0.0
@@ -232,8 +231,7 @@ def _slice_norm_matrix(f: SliceSeries, slices, grid, pairs) -> dict:
 
 def _check_norm_sandwich(config) -> CheckOutcome:
     rng = _rng_for(config, "norm-sandwich")
-    params = config.to_params()
-    grid = build_grid(params)
+    grid = build_grid(config)
     slices = slice_sample(config.n_slices)
     pairs = [(p, a) for p in (4.0 / 3.0, 2.0, 3.0) for a in (0.5, 1.0, 2.0)]
     worst = 0.0
@@ -262,10 +260,7 @@ def _growth_data(config):
     if key in _GROWTH_CACHE:
         return _GROWTH_CACHE[key]
     rng = _rng_for(config, "growth")
-    params = FockParams(alpha=config.alpha, p=2.0, domain="plane", radius=config.radius,
-                        degree=config.degree, n_r=config.n_r, n_theta=config.n_theta,
-                        n_slices=config.n_slices)
-    grid = build_grid(params)
+    grid = build_grid(replace(config, p=2.0, domain="plane"))
     slices = slice_sample(config.n_slices)
     ps = (4.0 / 3.0, 2.0, 3.0)
     pairs = [(p, config.alpha) for p in ps]
@@ -310,10 +305,7 @@ def _check_growth_bound(config) -> CheckOutcome:
 
 def _check_embedding(config) -> CheckOutcome:
     rng = _rng_for(config, "embedding")
-    params = FockParams(alpha=config.alpha, p=2.0, domain="plane", radius=config.radius,
-                        degree=config.degree, n_r=config.n_r, n_theta=config.n_theta,
-                        n_slices=config.n_slices)
-    grid = build_grid(params)
+    grid = build_grid(replace(config, p=2.0, domain="plane"))
     slices = slice_sample(config.n_slices)
     conjugate_pairs = ((4.0 / 3.0, 4.0), (1.5, 3.0), (2.0, 2.0))
     p_values = sorted({p for pu in conjugate_pairs for p in pu})
@@ -339,10 +331,9 @@ def _check_embedding(config) -> CheckOutcome:
 
 def _check_dilation(config) -> CheckOutcome:
     rng = _rng_for(config, "dilation")
-    params = config.to_params()
-    grid = build_grid(params)
+    grid = build_grid(config)
     slices = slice_sample(config.n_slices)
-    pairs = [(params.p, params.alpha)]
+    pairs = [(config.p, config.alpha)]
     radii = (0.9, 0.99, 0.999)
     worst = 0.0
     monotone = True
@@ -356,15 +347,14 @@ def _check_dilation(config) -> CheckOutcome:
         for a, b in zip(tails, tails[1:]):
             if b > a * (1.0 + 1e-12):
                 monotone = False
-        worst = max(worst, (tails[-1] / base) ** params.p)
+        worst = max(worst, (tails[-1] / base) ** config.p)
     return _outcome(worst, 1e-3, also=monotone,
                     note="compares the p-th powers ||f_r - f||^p / ||f||^p")
 
 
 def _check_hermiticity(config) -> CheckOutcome:
     rng = _rng_for(config, "hermiticity")
-    params = config.to_params()
-    grid = build_grid(params)
+    grid = build_grid(config)
     worst = 0.0
     for _ in range(100):
         f = _series(rng, int(rng.integers(0, 11)))
@@ -372,12 +362,12 @@ def _check_hermiticity(config) -> CheckOutcome:
         h = _series(rng, int(rng.integers(0, 11)))
         a = Quaternion.from_components(rng.standard_normal(4))
         u = random_unit_imaginary(rng)
-        fg = inner_product(f, g, u, params, grid)
-        gf = inner_product(g, f, u, params, grid)
+        fg = inner_product(f, g, u, config, grid)
+        gf = inner_product(g, f, u, config, grid)
         worst = max(worst, abs(fg - gf.conjugate()))
-        lin = inner_product(f, g.scale_right(a) + h, u, params, grid)
-        worst = max(worst, abs(lin - (fg * a + inner_product(f, h, u, params, grid))))
-        ff = inner_product(f, f, u, params, grid)
+        lin = inner_product(f, g.scale_right(a) + h, u, config, grid)
+        worst = max(worst, abs(lin - (fg * a + inner_product(f, h, u, config, grid))))
+        ff = inner_product(f, f, u, config, grid)
         worst = max(worst, abs(ff.imag))
         if ff.x0 < 0:
             worst = max(worst, abs(ff.x0))
@@ -386,10 +376,9 @@ def _check_hermiticity(config) -> CheckOutcome:
 
 def _check_poly_density(config) -> CheckOutcome:
     rng = _rng_for(config, "poly-density")
-    params = config.to_params()
-    grid = build_grid(params)
+    grid = build_grid(config)
     slices = slice_sample(config.n_slices)
-    pairs = [(params.p, params.alpha)]
+    pairs = [(config.p, config.alpha)]
     f = _series(rng, 20)
     tails = []
     for m in range(21):
@@ -405,8 +394,8 @@ def _check_poly_density(config) -> CheckOutcome:
 # kernel reproduction checks
 
 
-def _reproduction_error(config, params: FockParams, corrected: bool) -> float:
-    rng = _rng_for(config, "rep-kernel")
+def _reproduction_error(params, corrected: bool) -> float:
+    rng = _rng_for(params, "rep-kernel")
     grid = build_grid(params)
     points = [Quaternion.from_components(c) for c in _ball_points(rng, 20, r_scale=0.95)]
     errors = []
@@ -419,22 +408,18 @@ def _reproduction_error(config, params: FockParams, corrected: bool) -> float:
 
 
 def _check_rep_kernel_disk(config) -> CheckOutcome:
-    params = FockParams(alpha=config.alpha, domain="disk", degree=config.degree,
-                        n_r=config.n_r, n_theta=config.n_theta)
-    return _outcome(_reproduction_error(config, params, corrected=True), 1e-8)
+    params = replace(config, domain="disk")
+    return _outcome(_reproduction_error(params, corrected=True), 1e-8)
 
 
 def _check_rep_kernel_plane(config) -> CheckOutcome:
-    params = FockParams(alpha=config.alpha, domain="plane", radius=config.radius,
-                        degree=config.degree, n_r=config.n_r, n_theta=config.n_theta)
-    return _outcome(_reproduction_error(config, params, corrected=False), 1e-6,
+    params = replace(config, domain="plane")
+    return _outcome(_reproduction_error(params, corrected=False), 1e-6,
                     note="radius %g truncation of the plane" % config.radius)
 
 
 def _check_rep_kernel_plane_r4(config) -> CheckOutcome:
-    params = FockParams(alpha=config.alpha, domain="plane", radius=4.0,
-                        degree=config.degree, n_r=config.n_r, n_theta=config.n_theta)
-    err = _reproduction_error(config, params, corrected=False)
+    err = _reproduction_error(replace(config, domain="plane", radius=4.0), corrected=False)
     return _outcome(err, 1e-6,
                     note="radius-4 truncation drops Gaussian tail mass of order 1e-2 "
                          "for degree-8 moments; expected to exceed the tolerance")

@@ -5,6 +5,11 @@ a series file at a point), norm (weighted norms of a series file), kernel
 (compare the exponential and Gram-normalized kernels), gram (print the
 monomial Gram diagonal against its slow reference).
 
+Run settings come from one table, _CONFIG_KEYS: each key is a --<key> flag
+and a key=value line of a --config file (flags win).  verify takes every
+key; norm, kernel and gram take the FockParams keys and --seed.  Values are
+validated once, by constructing the RunConfig.
+
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or parse errors, 3 I/O errors.
 """
@@ -16,7 +21,6 @@ import sys
 
 from .checks import REGISTRY
 from .fock import (
-    FockParams,
     corrected_kernel_eval,
     fock_norm_slice,
     fock_norm_sup,
@@ -28,43 +32,38 @@ from .quaternions import I, Quaternion
 from .reference import monomial_gram_reference
 from .series import SeriesFormatError, read_series
 
-# config-file key -> (RunConfig field, type); the command-line flag of a key
-# is --<key>, read back from argparse as the key with "-" replaced by "_"
+# The one table of run settings: config-file key -> (RunConfig field, type,
+# help).  The command-line flag of a key is --<key>, stored under its field.
 _CONFIG_KEYS = {
-    "alpha": ("alpha", float),
-    "p": ("p", float),
-    "domain": ("domain", str),
-    "radius": ("radius", float),
-    "degree": ("degree", int),
-    "quad-r": ("n_r", int),
-    "quad-theta": ("n_theta", int),
-    "slices": ("n_slices", int),
-    "seed": ("seed", int),
-    "n-series": ("n_series", int),
-    "max-degree": ("max_degree", int),
-    "checks": ("checks", str),
-    "out": ("out", str),
-    "format": ("fmt", str),
+    "alpha": ("alpha", float, "Gaussian weight exponent (> 0)"),
+    "p": ("p", float, "integrability exponent (> 1)"),
+    "domain": ("domain", str, "slice integration domain: disk or plane"),
+    "radius": ("radius", float, "truncation radius in plane mode"),
+    "degree": ("degree", int, "kernel / Gram truncation degree"),
+    "quad-r": ("n_r", int, "radial quadrature nodes"),
+    "quad-theta": ("n_theta", int, "angular quadrature nodes"),
+    "slices": ("n_slices", int, "slice-sample size for sup norms (>= 8)"),
+    "seed": ("seed", int, "run seed"),
+    "n-series": ("n_series", int, "random series per sampling check"),
+    "max-degree": ("max_degree", int, "degree of the random series draws"),
+    "checks": ("checks", str, "comma-separated check ids (default: the standard set)"),
+    "out": ("out", str, "report base path; writes <out>.json and <out>.csv"),
+    "format": ("fmt", str, "report format to print when --out is not given: json or csv"),
 }
+
+# the first nine keys (the FockParams fields and the seed): norm, kernel and gram
+_PARAM_KEYS = tuple(_CONFIG_KEYS)[:9]
 
 
 class UsageError(Exception):
     pass
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=None, help="Gaussian weight exponent (> 0)")
-    parser.add_argument("--p", type=float, default=None, help="integrability exponent (> 1)")
-    parser.add_argument("--domain", choices=("disk", "plane"), default=None,
-                        help="slice integration domain")
-    parser.add_argument("--radius", type=float, default=None,
-                        help="truncation radius in plane mode")
-    parser.add_argument("--degree", type=int, default=None,
-                        help="kernel / Gram truncation degree")
-    parser.add_argument("--quad-r", type=int, default=None, help="radial quadrature nodes")
-    parser.add_argument("--quad-theta", type=int, default=None, help="angular quadrature nodes")
-    parser.add_argument("--slices", type=int, default=None, help="slice-sample size for sup norms")
-    parser.add_argument("--seed", type=int, default=None, help="run seed")
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
+    for key in keys:
+        field, cast, text = _CONFIG_KEYS[key]
+        parser.add_argument("--" + key, dest=field, type=cast, default=None, help=text,
+                            metavar=key.replace("-", "_").upper())
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="key=value config file; command-line flags override it")
 
@@ -88,7 +87,7 @@ def _parse_config_file(path: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise UsageError("%s:%d: unknown config key %r (known: %s)"
                              % (path, lineno, key, ", ".join(sorted(_CONFIG_KEYS))))
-        attr, cast = _CONFIG_KEYS[key]
+        attr, cast, _ = _CONFIG_KEYS[key]
         try:
             values[attr] = cast(val)
         except ValueError:
@@ -97,11 +96,9 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config))
-    for key, (attr, _) in _CONFIG_KEYS.items():
-        val = getattr(args, key.replace("-", "_"), None)
+    values = _parse_config_file(args.config) if args.config else {}
+    for attr, _, _ in _CONFIG_KEYS.values():
+        val = getattr(args, attr, None)
         if val is not None:
             values[attr] = val
     if "checks" in values:
@@ -109,13 +106,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _params_from_config(config: RunConfig) -> FockParams:
-    try:
-        return config.to_params()
-    except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -142,7 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if config.out:
         json_path, csv_path = write_reports(results, config.out)
         print("report: %s, %s" % (json_path, csv_path))
-    elif args.emit_report or args.format is not None:
+    elif args.emit_report or args.fmt is not None:
         sys.stdout.write(render_json(results) if config.fmt == "json" else render_csv(results))
     failed = [r.check_id for r in results if not r.passed]
     if failed:
@@ -160,7 +150,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_norm(args: argparse.Namespace) -> int:
     f = read_series(args.series)
-    params = _params_from_config(_build_config(args))
+    params = _build_config(args)
     sup = fock_norm_sup(f, params)
     print("sup-norm:   %.17g" % sup.value)
     print("at axis:    %s" % sup.axis.to_text())
@@ -169,7 +159,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    params = _params_from_config(_build_config(args))
+    params = _build_config(args)
     q = _parse_point(args.q, "kernel point q")
     w = _parse_point(args.w, "kernel point w")
     a = kernel_eval(q, w, params)
@@ -181,8 +171,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    params = _params_from_config(config)
+    params = _build_config(args)
     table = gram_table(params)
     top = min(params.degree, args.max_degree if args.max_degree is not None else 16)
     print("m   measured              reference             abs-err")
@@ -199,19 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification checks and emit reports")
-    _add_param_flags(p_verify)
-    p_verify.add_argument("--n-series", type=int, default=None,
-                          help="random series per sampling check")
-    p_verify.add_argument("--max-degree", type=int, default=None,
-                          help="degree of the random series draws")
-    p_verify.add_argument("--checks", default=None,
-                          help="comma-separated check ids (default: the standard set)")
+    _add_flags(p_verify, _CONFIG_KEYS)
     p_verify.add_argument("--list-checks", action="store_true",
                           help="list known check ids and exit")
-    p_verify.add_argument("--out", default=None,
-                          help="report base path; writes <out>.json and <out>.csv")
-    p_verify.add_argument("--format", choices=("json", "csv"), default=None,
-                          help="report format to print when --out is not given")
     p_verify.add_argument("--emit-report", action="store_true",
                           help="print the raw report to stdout")
     p_verify.set_defaults(func=_cmd_verify)
@@ -224,17 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("norm", help="weighted norms of a series file")
     p_norm.add_argument("series", help="series file in the plain text format")
-    _add_param_flags(p_norm)
+    _add_flags(p_norm, _PARAM_KEYS)
     p_norm.set_defaults(func=_cmd_norm)
 
     p_kernel = sub.add_parser("kernel", help="kernel values at a pair of points")
     p_kernel.add_argument("--q", required=True, metavar="'x0 x1 x2 x3'")
     p_kernel.add_argument("--w", required=True, metavar="'x0 x1 x2 x3'")
-    _add_param_flags(p_kernel)
+    _add_flags(p_kernel, _PARAM_KEYS)
     p_kernel.set_defaults(func=_cmd_kernel)
 
     p_gram = sub.add_parser("gram", help="monomial Gram diagonal vs. slow reference")
-    _add_param_flags(p_gram)
+    _add_flags(p_gram, _PARAM_KEYS)
     p_gram.add_argument("--max-degree", type=int, default=None,
                         help="largest monomial degree to print")
     p_gram.set_defaults(func=_cmd_gram)

@@ -83,7 +83,7 @@ class FockParams:
     degree    truncation degree for kernels, Gram tables and projections.
     n_r       Gauss-Legendre radial nodes.
     n_theta   equispaced angular nodes.
-    n_slices  size of the deterministic slice sample for supremum norms.
+    n_slices  size of the deterministic slice sample for supremum norms (>= 8).
 
     A radius-R plane truncation drops the Gaussian tail Q(m+1, alpha R^2)
     of the degree-m monomial moment.  At the default radius 6.5 and
@@ -119,8 +119,8 @@ class FockParams:
             raise ValueError("need n_r >= 4 and n_theta >= 4")
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
-        if self.n_slices < 1:
-            raise ValueError("n_slices must be positive")
+        if self.n_slices < 8:
+            raise ValueError("supremum norms need n_slices >= 8, got %r" % (self.n_slices,))
 
     @property
     def r_max(self) -> float:
@@ -248,8 +248,6 @@ def fock_norm_sup(f: SliceSeries, params: FockParams,
     The stem terms are built once and the slices reduced one at a time,
     so no (n_slices, nodes) stack is held in memory.
     """
-    if params.n_slices < 8:
-        raise ValueError("supremum norms need n_slices >= 8")
     if grid is None:
         grid = build_grid(params)
     a, b = _stem_terms(f, grid)
@@ -381,12 +379,12 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     if grid is None:
         grid = build_grid(params)
     s = np.asarray(samples, dtype=float)
+    if s.ndim != 2 or s.shape[1] != 4:
+        raise ValueError("samples must form an (n, 4) component array")
     if s.shape[0] != grid.size:
         raise ValueError("samples do not match the grid: %d values for %d nodes"
                          % (s.shape[0], grid.size))
     frame = slice_frame(u)
-    if s.ndim != 2 or s.shape[1] != 4:
-        raise ValueError("samples must form an (n, 4) component array")
     c1, c2 = to_frame(s, frame)
     lam = grid.gaussian_weights(params.alpha)
     zbar = np.conj(grid.z)

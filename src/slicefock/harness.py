@@ -1,7 +1,8 @@
 """Run configuration, seeded series generation, and report emission.
 
-A run is fully described by a RunConfig; identical configs (seed included)
-produce byte-identical reports.  Reports are emitted as a JSON list and a
+A run is fully described by a RunConfig: the FockParams of its integrals
+(weight, domain, quadrature) extended by the run fields.  Identical configs
+(seed included) produce byte-identical reports, emitted as a JSON list and a
 CSV mirror with the columns check_id, paper_ref, lhs, rhs, constant,
 margin, pass; wall-clock timings are kept on the in-memory results only so
 they never perturb the bytes.
@@ -50,17 +51,10 @@ def random_series(seed: Union[int, np.random.Generator], max_degree: int) -> Sli
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Parameters of a verification run; hashable and reproducible."""
+class RunConfig(FockParams):
+    """A verification run: the FockParams of its integrals plus the run
+    fields; hashable and reproducible.  checks=None runs the default set."""
 
-    alpha: float = 1.0
-    p: float = 2.0
-    domain: str = "disk"
-    radius: float = 6.5
-    degree: int = 32
-    n_r: int = 64
-    n_theta: int = 256
-    n_slices: int = 64
     seed: int = 42
     n_series: int = 200
     max_degree: int = 10
@@ -69,19 +63,13 @@ class RunConfig:
     fmt: str = "json"
 
     def __post_init__(self):
-        # same domain invariants as FockParams, surfaced before any check runs
-        self.to_params()
+        super().__post_init__()
         if self.n_series < 1:
             raise ValueError("n_series must be positive")
         if self.max_degree < 0:
             raise ValueError("max_degree must be non-negative")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
-
-    def to_params(self) -> FockParams:
-        return FockParams(alpha=self.alpha, p=self.p, domain=self.domain,
-                          radius=self.radius, degree=self.degree, n_r=self.n_r,
-                          n_theta=self.n_theta, n_slices=self.n_slices)
 
     def selected_checks(self) -> tuple[str, ...]:
         if self.checks is None:

@@ -9,6 +9,7 @@ Gaussian-measure weights are derived on demand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +20,6 @@ from .quaternions import I, J, K, Quaternion
 __all__ = ["PolarGrid", "build_polar_grid", "fibonacci_sphere", "slice_sample"]
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-_GRID_CACHE: dict[tuple[int, int, float], "PolarGrid"] = {}
 
 
 @dataclass(frozen=True)
@@ -46,25 +45,19 @@ class PolarGrid:
     def gaussian_mass(self, alpha: float) -> float:
         return float(np.sum(self.gaussian_weights(alpha)))
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Plain area integral of nodal values (fixed summation order)."""
-        return float(np.sum(values * self.area_weights))
 
-
+@functools.lru_cache(maxsize=16)
 def build_polar_grid(n_r: int, n_theta: int, r_max: float) -> PolarGrid:
     """Tensor Gauss-Legendre x trapezoid grid on the disk of radius r_max.
 
-    Grids are cached by (n_r, n_theta, r_max) since they are immutable and
-    reused heavily by the norm and projection code.
+    The 16 most recent grids are cached by their arguments, since they are
+    immutable and reused heavily by the norm and projection code; invalid
+    arguments raise on every call (exceptions are not cached).
     """
     if n_r < 4 or n_theta < 4:
         raise ValueError("need at least 4 radial and 4 angular nodes")
     if r_max <= 0:
         raise ValueError("grid radius must be positive")
-    key = (n_r, n_theta, float(r_max))
-    cached = _GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
     x, w = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * r_max * (x + 1.0)
     wr = 0.5 * r_max * w * r            # polar Jacobian r dr
@@ -78,9 +71,7 @@ def build_polar_grid(n_r: int, n_theta: int, r_max: float) -> PolarGrid:
     aw = np.ascontiguousarray(area.ravel())
     z.flags.writeable = False
     aw.flags.writeable = False
-    grid = PolarGrid(float(r_max), n_r, n_theta, r, theta, z, aw)
-    _GRID_CACHE[key] = grid
-    return grid
+    return PolarGrid(float(r_max), n_r, n_theta, r, theta, z, aw)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

@@ -35,7 +35,6 @@ __all__ = [
     "decompose_basis",
     "compose_basis",
     "hamilton",
-    "conj_components",
     "random_unit_imaginary",
 ]
 
@@ -86,18 +85,17 @@ class Quaternion:
         if len(parts) != 4:
             raise ValueError("expected 4 decimal fields, got %d" % len(parts))
         try:
-            return cls(*(float(p) for p in parts))
+            comps = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError("bad quaternion text %r: %s" % (text, exc)) from None
+        if not all(math.isfinite(c) for c in comps):
+            raise ValueError("non-finite component in quaternion text %r" % (text,))
+        return cls(*comps)
 
     # -- views -------------------------------------------------------------
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.x1, self.x2, self.x3])
-
-    @property
-    def real_part(self) -> float:
-        return self.x0
 
     @property
     def imag(self) -> "Quaternion":
@@ -336,9 +334,3 @@ def hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
     ], axis=-1)
-
-
-def conj_components(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] *= -1.0
-    return out

@@ -111,9 +111,6 @@ class SliceSeries:
             return Quaternion()
         return Quaternion.from_components(self.coeffs[n])
 
-    def max_coeff(self) -> float:
-        return float(np.linalg.norm(self.coeffs, axis=1).max())
-
     def __add__(self, other: "SliceSeries") -> "SliceSeries":
         n = max(self.degree, other.degree)
         c = np.zeros((n + 1, 4))
@@ -126,9 +123,6 @@ class SliceSeries:
 
     def __neg__(self) -> "SliceSeries":
         return SliceSeries(-self.coeffs)
-
-    def scale(self, t: float) -> "SliceSeries":
-        return SliceSeries(self.coeffs * float(t))
 
     def scale_right(self, a: Quaternion) -> "SliceSeries":
         """f * a with a constant quaternion on the right of every coefficient."""
@@ -195,7 +189,8 @@ class SliceSeries:
         fc = self.conjugate()
         s = self.star(fc, cap=order)
         s0 = s.coeffs[0, 0]
-        if s0 <= _zero_tol(self.coeffs):
+        # s0 = |a_0|^2, so the zero threshold on a_0 is squared with it
+        if s0 <= _zero_tol(self.coeffs) ** 2:
             raise ValueError("reciprocal undefined at origin: constant coefficient vanishes")
         t = np.zeros(order + 1)
         t[0] = 1.0 / s0
@@ -377,6 +372,8 @@ def parse_series(text: str) -> SliceSeries:
             coeffs[n] = [float(p) for p in parts[1:]]
         except ValueError:
             raise SeriesFormatError(lineno, "bad coefficient on line %r" % raw) from None
+        if not np.all(np.isfinite(coeffs[n])):
+            raise SeriesFormatError(lineno, "non-finite coefficient on line %r" % raw)
         seen.add(n)
         row += 1
     missing = sorted(set(range(deg + 1)) - seen)

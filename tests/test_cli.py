@@ -186,6 +186,35 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--domain", "bogus", "domain must be 'disk' or 'plane'"),
+    ("--format", "xml", "format must be 'json' or 'csv'"),
+    ("--slices", "3", "n_slices >= 8"),
+])
+def test_invalid_setting_exits_2_with_the_config_message(flag, value, message, capsys):
+    assert main(["verify", flag, value, "--checks", "quad-calibration"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_nonfinite_inputs_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.series"
+    path.write_text("slice-series v1 N=1\n0 nan 0 0 0\n1 1 0 0 0\n")
+    assert main(["eval", str(path), "--at", "0 0 0 0"]) == 2
+    assert "line 2" in capsys.readouterr().err
+    one = tmp_path / "one.series"
+    write_series(SliceSeries.constant(1.0), str(one))
+    assert main(["eval", str(one), "--at", "nan inf 0 0"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_param_subcommands_share_the_param_keys():
+    parser = build_parser()
+    for argv in (["norm", "f.series"], ["kernel", "--q", "0 0 0 0", "--w", "0 0 0 0"], ["gram"]):
+        args = parser.parse_args(argv + ["--quad-r", "16", "--slices", "9", "--seed", "3"])
+        config = _build_config(args)
+        assert (config.n_r, config.n_slices, config.seed) == (16, 9, 3)
+
+
 def test_bad_flag_value_exits_2(capsys):
     assert main(["verify", "--alpha", "-3", "--checks", "quad-calibration"]) == 2
 

@@ -48,6 +48,9 @@ def test_params_validation():
         FockParams(domain="plane", radius=0.5)
     with pytest.raises(ValueError):
         FockParams(n_r=2)
+    for n_slices in (0, 3, 7):
+        with pytest.raises(ValueError, match="n_slices >= 8"):
+            FockParams(n_slices=n_slices)
     assert FockParams(domain="plane", radius=3.0).r_max == 3.0
     assert FockParams().r_max == 1.0
 
@@ -386,6 +389,12 @@ def test_projection_rejects_grid_mismatch(rng):
     params = FockParams()
     with pytest.raises(ValueError, match="do not match the grid"):
         project_T(np.zeros((10, 4)), ONE, I, params)
+
+
+@pytest.mark.parametrize("samples", [1.0, np.zeros(4), np.zeros(64), np.zeros((64, 3))])
+def test_projection_rejects_malformed_samples(samples):
+    with pytest.raises(ValueError, match=r"\(n, 4\) component array"):
+        projection_series(samples, I, FockParams(n_r=8, n_theta=8))
 
 
 def test_sample_on_grid_matches_eval(rng):

@@ -11,6 +11,7 @@ import pytest
 from slicefock import (
     DEFAULT_CHECKS,
     REGISTRY,
+    FockParams,
     Quaternion,
     RunConfig,
     SliceSeries,
@@ -123,10 +124,31 @@ def test_seed_changes_sampled_lhs():
 
 
 def test_runconfig_to_params_roundtrip():
+    # a RunConfig is its own FockParams: the integrals take it as it is
     cfg = RunConfig(alpha=2.0, p=3.0, domain="plane", radius=5.0, n_r=32, n_theta=64)
-    params = cfg.to_params()
-    assert params.alpha == 2.0 and params.p == 3.0
-    assert params.r_max == 5.0
+    assert isinstance(cfg, FockParams)
+    assert cfg.alpha == 2.0 and cfg.p == 3.0
+    assert cfg.r_max == 5.0
+
+
+def test_runconfig_validates_params_and_run_fields():
+    with pytest.raises(ValueError, match="domain"):
+        RunConfig(domain="torus")
+    with pytest.raises(ValueError, match="n_slices"):
+        RunConfig(n_slices=3)
+    with pytest.raises(ValueError, match="n_series"):
+        RunConfig(n_series=0)
+    with pytest.raises(ValueError, match="format"):
+        RunConfig(fmt="xml")
+
+
+@pytest.mark.parametrize("check_id", ["gram-oracle", "orthogonality"])
+def test_unit_disk_checks_ignore_the_run_domain(check_id):
+    # both checks compare against unit-disk closed forms whatever --domain says
+    small = dict(n_r=16, n_theta=64)
+    disk = run_check(check_id, RunConfig(**small))
+    plane = run_check(check_id, RunConfig(domain="plane", radius=5.0, **small))
+    assert (plane.lhs, plane.passed) == (disk.lhs, disk.passed)
 
 
 def test_split_roundtrip_passes_at_seed_27():

@@ -113,6 +113,14 @@ def test_grid_validation_and_cache():
     assert build_polar_grid(8, 8, 1.0) is build_polar_grid(8, 8, 1.0)
 
 
+def test_grid_cache_is_bounded():
+    grid = build_polar_grid(8, 8, 1.5)
+    assert build_polar_grid(8, 8, 1.5) is grid
+    for k in range(20):
+        build_polar_grid(4, 4, 1.0 + k)
+    assert build_polar_grid.cache_info().currsize <= 16
+
+
 def test_grid_weights_are_positive_and_immutable():
     grid = build_polar_grid(8, 8, 2.0)
     assert np.all(grid.area_weights > 0)

@@ -272,3 +272,6 @@ def test_text_roundtrip():
         Quaternion.from_text("1 2 3")
     with pytest.raises(ValueError):
         Quaternion.from_text("1 2 3 spam")
+    for text in ("nan inf 0 0", "0 0 0 nan", "-inf 1 2 3", "1 2 Infinity 0"):
+        with pytest.raises(ValueError, match="non-finite"):
+            Quaternion.from_text(text)

@@ -185,6 +185,17 @@ def test_reciprocal_requires_nonzero_constant():
         f.star_reciprocal(4)
 
 
+@pytest.mark.parametrize("a0", [ONE, I])
+def test_reciprocal_of_small_constant_coefficient(a0):
+    # |a_0| = 1e-6 is far above zero although |a_0|^2 = 1e-12 is not
+    f = SliceSeries.from_quaternions([a0 * 1e-6, J])
+    rec = f.star_reciprocal(3)
+    resid = f.star(rec, cap=3).coeffs.copy()
+    resid[0, 0] -= 1.0
+    assert np.abs(resid).max() <= 1e-12
+    assert abs(rec.coefficient(0) * a0 * 1e-6 - ONE) <= 1e-12
+
+
 def test_reciprocal_residual_contract(rng):
     for _ in range(60):
         f = make_series(rng, 10)
@@ -398,3 +409,11 @@ def test_format_rejects_malformed_lines():
     with pytest.raises(SeriesFormatError) as err:
         parse_series("slice-series v1 N=0\n0 1 0 0 spam\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_format_rejects_nonfinite_coefficient(field):
+    text = "slice-series v1 N=1\n0 1 0 0 0\n1 0 %s 0 0\n" % field
+    with pytest.raises(SeriesFormatError, match="non-finite") as err:
+        parse_series(text)
+    assert err.value.line == 3
