@@ -27,6 +27,7 @@ from .fock import (
     sample_on_grid,
     slice_abs_sq,
     slice_norms,
+    stem_norms,
 )
 from .quadrature import build_polar_grid, slice_sample
 from .quaternions import I, J, K, ONE, Quaternion, random_unit_imaginary
@@ -136,9 +137,9 @@ def _check_rep_formula(config) -> CheckOutcome:
     for _ in range(100):
         f = _series(rng, int(rng.integers(0, 11)))
         pair = f.split(random_unit_imaginary(rng))
-        for point in _ball_points(rng, 100):
-            q = Quaternion.from_components(point)
-            errors.append(abs(pair.extend(q) - f.eval(q)))
+        points = _ball_points(rng, 100)
+        diff = pair.extend_many(points) - f.eval_many(points)
+        errors.append(np.sqrt(np.sum(diff * diff, axis=1)))
     return _outcome(np.max(errors), 1e-12)
 
 
@@ -229,6 +230,11 @@ def _slice_norm_matrix(f: SliceSeries, slices, grid, pairs) -> dict:
     return slice_norms(slice_abs_sq(f, slices, grid), grid, pairs)
 
 
+def _slice_axes(n_slices: int) -> np.ndarray:
+    """The deterministic slice sample as an (m, 4) component array."""
+    return np.array([u.as_array() for u in slice_sample(n_slices)])
+
+
 def _check_norm_sandwich(config) -> CheckOutcome:
     rng = _rng_for(config, "norm-sandwich")
     grid = build_grid(config)
@@ -261,7 +267,7 @@ def _growth_data(config):
         return _GROWTH_CACHE[key]
     rng = _rng_for(config, "growth")
     grid = build_grid(replace(config, p=2.0, domain="plane"))
-    slices = slice_sample(config.n_slices)
+    slices = _slice_axes(config.n_slices)
     ps = (4.0 / 3.0, 2.0, 3.0)
     pairs = [(p, config.alpha) for p in ps]
     rows = []
@@ -270,7 +276,7 @@ def _growth_data(config):
         pts = _ball_points(rng, 500, r_scale=0.999)
         vals = np.linalg.norm(f.eval_many(pts), axis=1)
         weights = np.exp(-0.5 * config.alpha * np.sum(pts * pts, axis=1))
-        norms = _slice_norm_matrix(f, slices, grid, pairs)
+        norms = stem_norms(f, slices, grid, pairs)
         sups = {p: float(norms[(p, config.alpha)].max()) for p in ps}
         rows.append((vals, weights, sups))
     _GROWTH_CACHE[key] = (ps, rows)
@@ -306,7 +312,7 @@ def _check_growth_bound(config) -> CheckOutcome:
 def _check_embedding(config) -> CheckOutcome:
     rng = _rng_for(config, "embedding")
     grid = build_grid(replace(config, p=2.0, domain="plane"))
-    slices = slice_sample(config.n_slices)
+    slices = _slice_axes(config.n_slices)
     conjugate_pairs = ((4.0 / 3.0, 4.0), (1.5, 3.0), (2.0, 2.0))
     p_values = sorted({p for pu in conjugate_pairs for p in pu})
     pa = [(p, config.alpha) for p in p_values]
@@ -315,7 +321,7 @@ def _check_embedding(config) -> CheckOutcome:
     flagged = 0
     for _ in range(100):
         f = _series(rng, int(rng.integers(0, 11)))
-        norms = _slice_norm_matrix(f, slices, grid, pa)
+        norms = stem_norms(f, slices, grid, pa)
         sups = {p: float(norms[(p, config.alpha)].max()) for p in p_values}
         for (p, u) in conjugate_pairs:
             const = 2.0 ** (u + 1) * u / p
@@ -332,18 +338,18 @@ def _check_embedding(config) -> CheckOutcome:
 def _check_dilation(config) -> CheckOutcome:
     rng = _rng_for(config, "dilation")
     grid = build_grid(config)
-    slices = slice_sample(config.n_slices)
+    slices = _slice_axes(config.n_slices)
     pairs = [(config.p, config.alpha)]
     radii = (0.9, 0.99, 0.999)
     worst = 0.0
     monotone = True
     for _ in range(50):
         f = _series(rng, 10)
-        base = float(_slice_norm_matrix(f, slices, grid, pairs)[pairs[0]].max())
+        base = float(stem_norms(f, slices, grid, pairs)[pairs[0]].max())
         tails = []
         for r in radii:
             diff = f.dilate(r) - f
-            tails.append(float(_slice_norm_matrix(diff, slices, grid, pairs)[pairs[0]].max()))
+            tails.append(float(stem_norms(diff, slices, grid, pairs)[pairs[0]].max()))
         for a, b in zip(tails, tails[1:]):
             if b > a * (1.0 + 1e-12):
                 monotone = False
@@ -377,13 +383,13 @@ def _check_hermiticity(config) -> CheckOutcome:
 def _check_poly_density(config) -> CheckOutcome:
     rng = _rng_for(config, "poly-density")
     grid = build_grid(config)
-    slices = slice_sample(config.n_slices)
+    slices = _slice_axes(config.n_slices)
     pairs = [(config.p, config.alpha)]
     f = _series(rng, 20)
     tails = []
     for m in range(21):
         diff = f - f.truncate(m)
-        tails.append(float(_slice_norm_matrix(diff, slices, grid, pairs)[pairs[0]].max()))
+        tails.append(float(stem_norms(diff, slices, grid, pairs)[pairs[0]].max()))
     monotone = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(tails, tails[1:]))
     return _outcome(tails[-1], 1e-6, also=monotone,
                     note="tail norms are nonincreasing" if monotone

@@ -171,9 +171,12 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
+    if args.print_degree is not None and args.print_degree < 0:
+        raise UsageError("--max-degree, the print limit (largest degree printed), must be "
+                         "non-negative, got %d" % args.print_degree)
     params = _build_config(args)
     table = gram_table(params)
-    top = min(params.degree, args.max_degree if args.max_degree is not None else 16)
+    top = min(params.degree, 16 if args.print_degree is None else args.print_degree)
     print("m   measured              reference             abs-err")
     for m in range(top + 1):
         ref = monomial_gram_reference(m, params.alpha, params.r_max)
@@ -214,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gram = sub.add_parser("gram", help="monomial Gram diagonal vs. slow reference")
     _add_flags(p_gram, _PARAM_KEYS)
-    p_gram.add_argument("--max-degree", type=int, default=None,
-                        help="largest monomial degree to print")
+    # a print limit, not the max-degree run key: stored under its own dest
+    p_gram.add_argument("--max-degree", dest="print_degree", type=int, default=None,
+                        metavar="MAX_DEGREE",
+                        help="largest monomial degree to print (default 16)")
     p_gram.set_defaults(func=_cmd_gram)
 
     return parser

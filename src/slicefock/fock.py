@@ -27,8 +27,16 @@ real and vector parts, the squared modulus on the slice of u is affine in u:
     A = |F1|^2 + |F2|^2,   B = t v - s w + w x v.
 
 The weighted reduction folds the Gaussian into a radial weight,
-(|f|^2 e^(-alpha r^2))^(p/2) = |f|^p e^(-alpha p r^2 / 2), so the fractional
-power runs once per exponent p, and sums over angles before radii.
+(|f|^2 e^(-alpha r^2))^(p/2) = |f|^p e^(-alpha p r^2 / 2), and sums over
+angles before radii, so the ring sums of |f|^p serve every alpha.  Each
+exponent gets the least arithmetic it needs:
+
+  * p = 2: the ring sums are affine in u, sum A + 2 u.sum B, so
+    ``stem_norms`` fills no |f|^2 row at all;
+  * p = 4, 3, 3/2, 4/3: |f|^p is s*s, s*sqrt(s), sqrt(s*sqrt(s)) and
+    cbrt(s)^2 for s = |f|^2 (``_power``); any other p uses s ** (p/2);
+  * rows are filled, powered and summed in blocks of ``_BLOCK_ROWS`` slices
+    (1 MB on the default grid), which stay in L2 cache.
 
 The single-slice paths (inner product, grid samples, projection) split f
 as F + G v in the frame (1, u, v, uv) of ``quaternions.slice_frame`` instead,
@@ -57,6 +65,7 @@ __all__ = [
     "build_grid",
     "slice_abs_sq",
     "slice_norms",
+    "stem_norms",
     "fock_norm_slice",
     "fock_norm",
     "fock_norm_sup",
@@ -173,9 +182,18 @@ def _slice_rows(a: np.ndarray, b: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _axis_components(u: Quaternion) -> np.ndarray:
-    check_unit_imaginary(u)
-    return u.imag_vector
+def _axis_rows(u) -> np.ndarray:
+    """Imaginary parts, shape (m, 3), of slice axes checked in one pass.
+
+    ``u`` is one unit imaginary, a sequence of them, or an (m, 4) array of
+    their components.
+    """
+    units = [u] if isinstance(u, Quaternion) else u
+    if not isinstance(units, np.ndarray):
+        units = [x.as_array() for x in units]
+    comps = np.asarray(units, dtype=float).reshape(-1, 4)
+    check_unit_imaginary(comps)
+    return comps[:, 1:]
 
 
 def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
@@ -185,36 +203,104 @@ def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
     (result shape (len(u), n), one row per axis).  Every row comes from the
     same stem-function sweep of f: |f|^2 = A + 2 u.B (module docstring).
     """
-    single = isinstance(u, Quaternion)
-    axes = np.array([_axis_components(x) for x in ([u] if single else u)]).reshape(-1, 3)
-    rows = _slice_rows(*_stem_terms(f, grid), axes)
-    return rows[0] if single else rows
+    rows = _slice_rows(*_stem_terms(f, grid), _axis_rows(u))
+    return rows[0] if isinstance(u, Quaternion) else rows
+
+
+# Rows of |f|^2 values powered and summed together: 8 rows of the default
+# 64 x 256 grid are 1 MB, so a block and its powers stay in L2 cache.
+_BLOCK_ROWS = 8
+
+
+def _power(s: np.ndarray, e: float) -> np.ndarray:
+    """s ** e for s >= 0, through sqrt and cbrt for the exponents p/2 in use."""
+    if e == 1.0:
+        return s
+    if e == 2.0:
+        return s * s
+    if e == 2.0 / 3.0:
+        out = np.cbrt(s)
+        out *= out
+        return out
+    if e in (1.5, 0.75):
+        out = np.sqrt(s)
+        out *= s
+        return out if e == 1.5 else np.sqrt(out, out=out)
+    return s ** e
+
+
+def _ring_sums(blocks, n_rows: int, grid: PolarGrid, ps) -> dict:
+    """Angular sums of |f|^p per ring, {p: (n_rows, n_r)}, for every p in ``ps``.
+
+    ``blocks`` yields (start, rows) with rows a (k, nodes) block of |f|^2
+    values; each block is powered and summed before the next one is made.
+    """
+    rings = {p: np.empty((n_rows, grid.n_r)) for p in ps}
+    for start, rows in blocks:
+        polar = rows.reshape(len(rows), grid.n_r, grid.n_theta)
+        for p in ps:
+            rings[p][start: start + len(rows)] = np.sum(_power(polar, 0.5 * p), axis=-1)
+    return rings
+
+
+def _weighted_norms(rings: dict, grid: PolarGrid, pairs) -> dict:
+    """Norms from the ring sums of |f|^p: the Gaussian is a radial weight."""
+    radial_area = grid.area_weights[:: grid.n_theta]
+    r_sq = grid.r * grid.r
+    out = {}
+    for (p, alpha) in pairs:
+        weight = radial_area * np.exp(-0.5 * alpha * p * r_sq)
+        integral = np.sum(rings[p] * weight, axis=-1)
+        out[(p, alpha)] = (alpha * p / (2.0 * math.pi) * integral) ** (1.0 / p)
+    return out
+
+
+def _exponents(pairs) -> list:
+    return list(dict.fromkeys(p for p, _ in pairs))
 
 
 def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
     """Weighted slice p-norms from |f|^2 values, for every (p, alpha) pair.
 
     ``abs_sq`` holds nodal values in its last axis (one row per slice, or a
-    single row); each result has the shape of the leading axes.  The
-    Gaussian folds into a radial weight, (|f|^2 e^(-alpha r^2))^(p/2) =
-    |f|^p e^(-alpha p r^2 / 2), so the fractional power runs once per p and
-    the angular sums are shared by every alpha.
+    single row); each result has the shape of the leading axes.  Rows are
+    powered and summed over angles in blocks of ``_BLOCK_ROWS``; the sums
+    are shared by every alpha.
     """
     abs_sq = np.asarray(abs_sq)
-    polar = abs_sq.reshape(abs_sq.shape[:-1] + (grid.n_r, grid.n_theta))
-    radial_area = grid.area_weights[:: grid.n_theta]
-    r_sq = grid.r * grid.r
-    ring_sums = {}
-    out = {}
-    for (p, alpha) in pairs:
-        rings = ring_sums.get(p)
-        if rings is None:
-            powered = polar if p == 2.0 else polar ** (0.5 * p)
-            rings = ring_sums[p] = np.sum(powered, axis=-1)
-        weight = radial_area * np.exp(-0.5 * alpha * p * r_sq)
-        integral = np.sum(rings * weight, axis=-1)
-        out[(p, alpha)] = (alpha * p / (2.0 * math.pi) * integral) ** (1.0 / p)
-    return out
+    lead = abs_sq.shape[:-1]
+    flat = abs_sq.reshape(-1, abs_sq.shape[-1])
+    blocks = ((i, flat[i: i + _BLOCK_ROWS]) for i in range(0, len(flat), _BLOCK_ROWS))
+    rings = _ring_sums(blocks, len(flat), grid, _exponents(pairs))
+    rings = {p: r.reshape(lead + (grid.n_r,)) for p, r in rings.items()}
+    return _weighted_norms(rings, grid, pairs)
+
+
+def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
+    """Weighted p-norms of f on the slice of each axis, for every (p, alpha) pair.
+
+    ``axes`` is a sequence of unit imaginaries or an (m, 4) array of their
+    components; each result has shape (m,).  One stem sweep of f serves
+    every axis and exponent.  At p = 2 the ring sums are linear in u,
+    sum A + 2 u.sum B, so no row is filled; other exponents fill |f|^2 rows
+    a block at a time, and no (m, nodes) stack is built.
+    """
+    units = _axis_rows(axes)
+    a, b = _stem_terms(f, grid)
+    ps = _exponents(pairs)
+    rings = {}
+    if 2.0 in ps:
+        shape = (grid.n_r, grid.n_theta)
+        ra = np.sum(a.reshape(shape), axis=-1)
+        rb2 = np.sum((2.0 * b).reshape((3,) + shape), axis=-1)
+        rings[2.0] = (units[:, 0:1] * rb2[0] + units[:, 1:2] * rb2[1]
+                      + units[:, 2:3] * rb2[2] + ra)
+    rest = [p for p in ps if p != 2.0]
+    if rest:
+        blocks = ((i, _slice_rows(a, b, units[i: i + _BLOCK_ROWS]))
+                  for i in range(0, len(units), _BLOCK_ROWS))
+        rings.update(_ring_sums(blocks, len(units), grid, rest))
+    return _weighted_norms(rings, grid, pairs)
 
 
 def fock_norm_slice(f: SliceSeries, u: Quaternion, params: FockParams,
@@ -245,20 +331,13 @@ def fock_norm_sup(f: SliceSeries, params: FockParams,
     is a Fibonacci lattice of size n_slices plus the coordinate axes; the
     norm-equivalence sandwich bounds the true supremum by twice any slice
     value, so the sampling error is bounded even between lattice points.
-    The stem terms are built once and the slices reduced one at a time,
-    so no (n_slices, nodes) stack is held in memory.
+    One stem sweep serves every sampled slice (``stem_norms``).
     """
     if grid is None:
         grid = build_grid(params)
-    a, b = _stem_terms(f, grid)
     axes = slice_sample(params.n_slices)
     pair = (params.p, params.alpha)
-
-    def norm_on(u: Quaternion) -> float:
-        row = _slice_rows(a, b, u.imag_vector[None])[0]
-        return slice_norms(row, grid, [pair])[pair]
-
-    norms = np.array([norm_on(u) for u in axes])
+    norms = stem_norms(f, axes, grid, [pair])[pair]
     best = int(np.argmax(norms))
     return SupNorm(float(norms[best]), axes[best])
 

@@ -228,9 +228,19 @@ def slice_coords(q: Quaternion) -> SliceCoords:
     return SliceCoords(q.x0, y, axis(q))
 
 
-def check_unit_imaginary(u: Quaternion) -> None:
-    """Raise unless u is a unit imaginary quaternion, i.e. a slice axis."""
-    if abs(u.x0) > 1e-9 or abs(u.norm_sq - 1.0) > 1e-9:
+def check_unit_imaginary(u) -> None:
+    """Raise unless u is a unit imaginary quaternion, i.e. a slice axis.
+
+    ``u`` may also be an (..., 4) component array, checked row by row in
+    one vectorized pass.
+    """
+    if isinstance(u, Quaternion):
+        bad = abs(u.x0) > 1e-9 or abs(u.norm_sq - 1.0) > 1e-9
+    else:
+        c = np.asarray(u, dtype=float)
+        bad = (np.any(np.abs(c[..., 0]) > 1e-9)
+               or np.any(np.abs(np.sum(c * c, axis=-1) - 1.0) > 1e-9))
+    if bad:
         raise ValueError("slice axis must be a unit imaginary quaternion")
 
 

@@ -19,11 +19,11 @@ from typing import Iterable, TextIO, Union
 import numpy as np
 
 from .quaternions import (
+    AXIS_EPS,
     ONE,
     Quaternion,
     from_frame,
     hamilton,
-    slice_coords,
     slice_frame,
     to_frame,
 )
@@ -259,26 +259,36 @@ class SplitPair:
             f2 = f2 * z + self.c2[n]
         return f1, f2
 
-    def eval_slice(self, z: complex) -> Quaternion:
-        """Value of the recombined slice function at z in the slice plane."""
-        return Quaternion.from_components(from_frame(*self.eval_components(z), self.frame))
-
     def extend(self, q: Quaternion) -> Quaternion:
-        """Slice-regular extension evaluated at an arbitrary quaternion.
+        """Slice-regular extension evaluated at one quaternion (see extend_many)."""
+        return Quaternion.from_components(self.extend_many(q.as_array()[None])[0])
 
-        Writes q = x + y*axis(q), evaluates the slice function at x + y*u
-        and its mirror x - y*u, and averages the two with the projection
-        factors (1 -+ axis(q)*u)/2.  On the slice of u this reduces to plain
-        evaluation; elsewhere it reproduces the unique slice-regular series
-        through the slice values.
+    def extend_many(self, points: np.ndarray) -> np.ndarray:
+        """Slice-regular extension at an (M, 4) array of points; returns (M, 4).
+
+        Writes each q = x + y*axis(q), evaluates the slice function at
+        z = x + y*u and its mirror x - y*u, and averages the two with the
+        projection factors (1 -+ axis(q)*u)/2.  Near-real points take the
+        axis i, by the rule of ``quaternions.axis``.  On the slice of u this
+        reduces to plain evaluation; elsewhere it reproduces the unique
+        slice-regular series through the slice values.
         """
-        x, y, iq = slice_coords(q)
-        z = complex(x, y)
-        fz = self.eval_slice(z)
-        fzbar = self.eval_slice(z.conjugate())
-        u = Quaternion.from_components(self.frame[1])
-        half = Quaternion.real(0.5)
-        return half * ((ONE - iq * u) * fz + (ONE + iq * u) * fzbar)
+        pts = np.asarray(points, dtype=float).reshape(-1, 4)
+        x, v = pts[:, 0], pts[:, 1:]
+        sq = v * v
+        y = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+        real = y <= AXIS_EPS * (1.0 + np.sqrt(x * x + sq[:, 0] + sq[:, 1] + sq[:, 2]))
+        iq = np.zeros_like(pts)
+        iq[real, 1] = 1.0
+        iq[~real, 1:] = v[~real] / y[~real, None]
+        z = np.empty(len(pts), dtype=complex)
+        z.real = x
+        z.imag = y
+        fz = from_frame(*self.eval_components(z), self.frame)
+        fzbar = from_frame(*self.eval_components(z.conjugate()), self.frame)
+        iq_u = hamilton(iq, self.frame[1])
+        one = ONE.as_array()
+        return 0.5 * (hamilton(one - iq_u, fz) + hamilton(one + iq_u, fzbar))
 
 
 def star_exponential(w: Quaternion, alpha: float, degree: int) -> SliceSeries:

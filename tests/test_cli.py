@@ -84,6 +84,15 @@ def test_gram_command(capsys):
     assert len(out.splitlines()) == 8
 
 
+def test_gram_max_degree_is_a_print_limit(capsys):
+    assert main(["gram", "--max-degree", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "print limit" in err and "draws" not in err
+    assert main(["gram", "--max-degree", "3", "--degree", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(line.split()[0]) for line in rows] == [0, 1, 2, 3]
+
+
 def test_verify_small_subset_passes(capsys):
     assert main(["verify", "--checks", "quad-calibration,star-assoc"]) == 0
     out = capsys.readouterr().out

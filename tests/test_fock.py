@@ -28,7 +28,7 @@ from slicefock import (
     slice_sample,
     star_exponential,
 )
-from slicefock.fock import slice_abs_sq
+from slicefock.fock import _power, slice_abs_sq, slice_norms, stem_norms
 from slicefock.quaternions import random_unit_imaginary
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
@@ -167,6 +167,8 @@ def test_fill_rejects_non_unit_axis(rng):
             slice_abs_sq(f, bad, grid)
         with pytest.raises(ValueError, match="unit imaginary"):
             slice_abs_sq(f, [I, bad], grid)
+        with pytest.raises(ValueError, match="unit imaginary"):
+            stem_norms(f, [I, bad], grid, [(2.0, 1.0)])
 
 
 @pytest.mark.parametrize("domain", ["disk", "plane"])
@@ -202,6 +204,92 @@ def test_norm_finite_at_a_zero_on_a_grid_node(p, rng):
         want = _reference_norm(_split_abs_sq(f, u, grid), grid, params.alpha, p)
         assert math.isfinite(val)
         assert abs(val - want) <= 1e-12 * want
+
+
+# -- exponent-aware reduction --------------------------------------------------------
+
+@pytest.mark.parametrize("e", [1.0, 2.0, 1.5, 0.75, 2.0 / 3.0])
+def test_power_special_forms_match_pow(e):
+    # float 2/3 lies 3.7e-17 below 2/3, so s ** (2/3) itself drifts from the
+    # true power by 3.7e-17 |ln s| relative; below s = 1e-16 that drift, not
+    # cbrt, would exceed the 2e-15 bound
+    s = np.concatenate([[0.0], np.logspace(-16, 17, 4001)])
+    got = _power(s, e)
+    want = s ** e
+    assert got[0] == 0.0
+    assert np.all(np.abs(got[1:] - want[1:]) <= 2e-15 * want[1:])
+    assert math.isnan(_power(np.array([math.nan]), e)[0])
+
+
+def test_power_other_exponents_are_pow():
+    s = np.logspace(-20, 17, 1001)
+    for e in (0.6, 1.25, 2.5, 0.7):
+        assert np.array_equal(_power(s, e), s ** e)
+
+
+def _norm_case_pairs(ps):
+    return [(p, a) for p in ps for a in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_stem_norms_equal_the_filled_rows_off_p2(domain, rng):
+    params = FockParams(domain=domain, n_r=16, n_theta=64)
+    grid = build_grid(params)
+    axes = slice_sample(params.n_slices)
+    pairs = _norm_case_pairs((4.0 / 3.0, 1.5, 3.0, 4.0))
+    for degree in (0, 1, 4, 10, 20):
+        f = make_series(rng, degree)
+        got = stem_norms(f, axes, grid, pairs)
+        want = slice_norms(slice_abs_sq(f, axes, grid), grid, pairs)
+        for pair in pairs:
+            assert got[pair].shape == (len(axes),)
+            assert np.array_equal(got[pair], want[pair]), pair
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_stem_norms_p2_linear_form_matches_rows_and_closed_form(domain, rng):
+    # N^2 = sum_n |a_n|^2 gamma_n: the angular sum removes every cross term
+    # z^m conj(z)^n with m != n, whatever the slice
+    params = FockParams(domain=domain)
+    grid = build_grid(params)
+    axes = slice_sample(params.n_slices)
+    pairs = _norm_case_pairs((2.0,))
+    gammas = {a: gram_table(FockParams(alpha=a, domain=domain), grid, degree=32).diag
+              for a in (0.5, 1.0, 2.0)}
+    for degree in range(33):
+        f = make_series(rng, degree)
+        got = stem_norms(f, axes, grid, pairs)
+        rows = slice_norms(slice_abs_sq(f, axes, grid), grid, pairs)
+        coeff_sq = np.sum(f.coeffs * f.coeffs, axis=1)
+        for (p, a) in pairs:
+            closed = math.sqrt(float(np.sum(coeff_sq * gammas[a][: degree + 1])))
+            assert np.all(np.abs(got[(p, a)] - rows[(p, a)]) <= 1e-14 * rows[(p, a)])
+            assert np.all(np.abs(got[(p, a)] - closed) <= 1e-13 * closed)
+
+
+def test_stem_norms_nan_coefficient_gives_nan(rng):
+    params = FockParams(n_r=16, n_theta=64)
+    grid = build_grid(params)
+    coeffs = rng.standard_normal((6, 4))
+    coeffs[3, 2] = math.nan
+    pairs = _norm_case_pairs((4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 2.5))
+    norms = stem_norms(SliceSeries(coeffs), slice_sample(8), grid, pairs)
+    assert all(np.all(np.isnan(v)) for v in norms.values())
+
+
+@pytest.mark.parametrize("p", [4.0 / 3.0, 2.0, 3.0])
+def test_stem_norms_single_axis_is_its_row(p, rng):
+    params = FockParams(domain="plane")
+    grid = build_grid(params)
+    axes = slice_sample(params.n_slices)
+    assert len(axes) == 67
+    pair = (p, 1.0)
+    f = make_series(rng, 10)
+    full = stem_norms(f, axes, grid, [pair])[pair]
+    for k in (0, 7, 8, 41, 66):
+        assert stem_norms(f, [axes[k]], grid, [pair])[pair][0] == full[k]
+    comps = np.array([u.as_array() for u in axes])
+    assert np.array_equal(stem_norms(f, comps, grid, [pair])[pair], full)
 
 
 # -- inner product ------------------------------------------------------------------

@@ -161,5 +161,7 @@ def test_split_roundtrip_passes_at_seed_27():
 def test_checks_fail_on_nan_values(check_id, monkeypatch):
     nan = Quaternion(math.nan, math.nan, math.nan, math.nan)
     monkeypatch.setattr(SliceSeries, "eval", lambda self, q: nan)
+    monkeypatch.setattr(SliceSeries, "eval_many",
+                        lambda self, points: np.full(np.shape(points), math.nan))
     outcome = run_check(check_id, RunConfig(n_r=16, n_theta=64))
     assert math.isnan(outcome.lhs) and not outcome.passed

@@ -301,6 +301,25 @@ def test_extension_equals_eval(rng):
             assert abs(pair.extend(q) - f.eval(q)) <= 1e-12
 
 
+@pytest.mark.parametrize("degree", range(11))
+def test_extend_many_matches_scalar_eval(degree, rng):
+    f = make_series(rng, degree)
+    u = random_unit_imaginary(rng)
+    pair = f.split(u)
+    points = rng.standard_normal((40, 4))
+    points *= (0.98 * rng.uniform(size=40) / np.linalg.norm(points, axis=1))[:, None]
+    points[:6, 1:] = 0.0                                      # real points, y = 0
+    points[6:12, 1:] = u.imag_vector * rng.uniform(-1.0, 1.0, (6, 1))  # on the slice of u
+    points[12] = [1e-15, 1e-16, 0.0, 0.0]                     # below the real-point threshold
+    got = pair.extend_many(points)
+    assert got.shape == points.shape
+    for q, value in zip(points, got):
+        want = f.eval(Quaternion.from_components(q))
+        assert abs(Quaternion.from_components(value) - want) <= 1e-12
+    single = pair.extend(Quaternion.from_components(points[20]))
+    assert np.array_equal(single.as_array(), got[20])
+
+
 # -- dilation ---------------------------------------------------------------------
 
 def test_dilate_examples(rng):
