@@ -30,6 +30,7 @@ from .series import (
     SplitPair,
     parse_series,
     pointwise_star_residual,
+    random_series,
     read_series,
     star_exponential,
     write_series,
@@ -55,7 +56,6 @@ from .fock import (
 from .harness import (
     CheckResult,
     RunConfig,
-    random_series,
     render_csv,
     render_json,
     run_suite,

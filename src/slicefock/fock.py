@@ -80,6 +80,11 @@ __all__ = [
 ]
 
 
+# Largest quadrature grid, n_r * n_theta: 256 times the default 64 x 256.
+# At the cap the (4, nodes) complex accumulator of ``_stem_terms`` is 256 MB.
+_MAX_NODES = 1 << 22
+
+
 @dataclass(frozen=True)
 class FockParams:
     """Weight and resolution parameters for the slice-disk integrals.
@@ -91,7 +96,7 @@ class FockParams:
               the disk, where it need only be finite.
     degree    truncation degree for kernels, Gram tables and projections.
     n_r       Gauss-Legendre radial nodes.
-    n_theta   equispaced angular nodes.
+    n_theta   equispaced angular nodes; n_r * n_theta is at most 2^22.
     n_slices  size of the deterministic slice sample for supremum norms (>= 8).
 
     A radius-R plane truncation drops the Gaussian tail Q(m+1, alpha R^2)
@@ -126,6 +131,9 @@ class FockParams:
             raise ValueError("plane-mode radius must be >= 1")
         if self.n_r < 4 or self.n_theta < 4:
             raise ValueError("need n_r >= 4 and n_theta >= 4")
+        if self.n_r * self.n_theta > _MAX_NODES:
+            raise ValueError("grid of n_r * n_theta = %d nodes exceeds the cap of %d"
+                             % (self.n_r * self.n_theta, _MAX_NODES))
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
         if self.n_slices < 8:
@@ -310,11 +318,12 @@ def fock_norm_slice(f: SliceSeries, u: Quaternion, params: FockParams,
         ((alpha p / 2 pi) * integral |f(z) e^(-alpha |z|^2 / 2)|^p dA)^(1/p)
 
     with the integral over the unit disk or the radius-R disk of the slice.
+    It is ``stem_norms`` on one axis, so it matches ``fock_norm_sup`` bit for bit.
     """
     if grid is None:
         grid = build_grid(params)
     pair = (params.p, params.alpha)
-    return float(slice_norms(slice_abs_sq(f, u, grid), grid, [pair])[pair])
+    return float(stem_norms(f, [u], grid, [pair])[pair][0])
 
 
 class SupNorm(NamedTuple):

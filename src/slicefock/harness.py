@@ -1,4 +1,4 @@
-"""Run configuration, seeded series generation, and report emission.
+"""Run configuration and report emission.
 
 A run is fully described by a RunConfig: the FockParams of its integrals
 (weight, domain, quadrature) extended by the run fields.  Identical configs
@@ -15,13 +15,11 @@ import io
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .checks import DEFAULT_CHECKS, REGISTRY, run_check
 from .fock import FockParams
-from .series import SliceSeries
+from .series import random_series  # re-exported: harness.random_series
 
 __all__ = [
     "RunConfig",
@@ -34,20 +32,6 @@ __all__ = [
 ]
 
 REPORT_COLUMNS = ("check_id", "paper_ref", "lhs", "rhs", "constant", "margin", "pass")
-
-
-def random_series(seed: Union[int, np.random.Generator], max_degree: int) -> SliceSeries:
-    """Seeded random series: all four components of every coefficient drawn
-    independently standard-normal from numpy's PCG64 stream.
-
-    The generator is numpy.random.default_rng(seed); equal seeds give the
-    same coefficients on every platform, and the generated degree equals
-    max_degree exactly.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return SliceSeries(rng.standard_normal((max_degree + 1, 4)))
 
 
 @dataclass(frozen=True)

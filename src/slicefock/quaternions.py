@@ -232,14 +232,14 @@ def check_unit_imaginary(u) -> None:
     """Raise unless u is a unit imaginary quaternion, i.e. a slice axis.
 
     ``u`` may also be an (..., 4) component array, checked row by row in
-    one vectorized pass.
+    one vectorized pass.  The comparisons are written so that NaN fails them.
     """
     if isinstance(u, Quaternion):
-        bad = abs(u.x0) > 1e-9 or abs(u.norm_sq - 1.0) > 1e-9
+        bad = not (abs(u.x0) <= 1e-9 and abs(u.norm_sq - 1.0) <= 1e-9)
     else:
         c = np.asarray(u, dtype=float)
-        bad = (np.any(np.abs(c[..., 0]) > 1e-9)
-               or np.any(np.abs(np.sum(c * c, axis=-1) - 1.0) > 1e-9))
+        bad = not (np.all(np.abs(c[..., 0]) <= 1e-9)
+                   and np.all(np.abs(np.sum(c * c, axis=-1) - 1.0) <= 1e-9))
     if bad:
         raise ValueError("slice axis must be a unit imaginary quaternion")
 

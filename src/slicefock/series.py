@@ -34,6 +34,7 @@ __all__ = [
     "SeriesFormatError",
     "DEGREE_CAP",
     "star_exponential",
+    "random_series",
     "pointwise_star_residual",
     "read_series",
     "parse_series",
@@ -310,6 +311,16 @@ def star_exponential(w: Quaternion, alpha: float, degree: int) -> SliceSeries:
         acc = acc * base / n
         rows[n] = acc.as_array()
     return SliceSeries(rows)
+
+
+def random_series(seed: Union[int, np.random.Generator], max_degree: int) -> SliceSeries:
+    """Series of degree max_degree whose coefficient components are independent
+    standard normals from numpy.random.default_rng(seed) (or the generator
+    given), so equal seeds give equal coefficients on every platform."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return SliceSeries(rng.standard_normal((max_degree + 1, 4)))
 
 
 def pointwise_star_residual(f: SliceSeries, g: SliceSeries, q: Quaternion) -> float:

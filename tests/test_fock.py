@@ -29,7 +29,7 @@ from slicefock import (
     star_exponential,
 )
 from slicefock.fock import _power, slice_abs_sq, slice_norms, stem_norms
-from slicefock.quaternions import random_unit_imaginary
+from slicefock.quaternions import random_unit_imaginary, slice_frame
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
 from conftest import ball_point, make_series
@@ -53,6 +53,14 @@ def test_params_validation():
             FockParams(n_slices=n_slices)
     assert FockParams(domain="plane", radius=3.0).r_max == 3.0
     assert FockParams().r_max == 1.0
+
+
+def test_params_cap_the_grid_node_count():
+    # validation only: constructing the parameters allocates no grid
+    assert FockParams(n_r=64, n_theta=1 << 16).n_theta == 1 << 16
+    for n_r, n_theta in ((64, (1 << 16) + 1), (1 << 20, 8), (64, 100_000_000)):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            FockParams(n_r=n_r, n_theta=n_theta)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -171,18 +179,34 @@ def test_fill_rejects_non_unit_axis(rng):
             stem_norms(f, [I, bad], grid, [(2.0, 1.0)])
 
 
+@pytest.mark.parametrize("bad", [Quaternion(math.nan, 1, 0, 0), Quaternion(0, math.nan, 0, 0),
+                                 Quaternion(0, 0, 1, math.nan)])
+def test_nan_axis_is_rejected(bad, rng):
+    params = FockParams(n_r=8, n_theta=8, n_slices=8)
+    grid = build_grid(params)
+    f = make_series(rng, 2)
+    with pytest.raises(ValueError, match="unit imaginary"):
+        slice_frame(bad)
+    with pytest.raises(ValueError, match="unit imaginary"):
+        fock_norm_slice(f, bad, params, grid)
+    with pytest.raises(ValueError, match="unit imaginary"):
+        stem_norms(f, np.array([I.as_array(), bad.as_array()]), grid, [(2.0, 1.0)])
+
+
 @pytest.mark.parametrize("domain", ["disk", "plane"])
 def test_sup_norm_is_the_largest_sampled_slice_norm(domain, rng):
-    params = FockParams(domain=domain, p=3.0, n_slices=16)
-    grid = build_grid(params)
-    axes = slice_sample(params.n_slices)
-    for degree in (0, 1, 5, 10):
-        f = make_series(rng, degree)
-        sup = fock_norm_sup(f, params, grid)
-        norms = [fock_norm_slice(f, u, params, grid) for u in axes]
-        assert sup.value == max(norms)
-        assert fock_norm_slice(f, sup.axis, params, grid) == sup.value
-        assert sup.axis in axes
+    # p = 2 takes the linear form of stem_norms, other p the filled rows
+    for p in (2.0, 3.0):
+        params = FockParams(domain=domain, p=p, n_slices=16)
+        grid = build_grid(params)
+        axes = slice_sample(params.n_slices)
+        for degree in (0, 1, 5, 10):
+            f = make_series(rng, degree)
+            sup = fock_norm_sup(f, params, grid)
+            norms = [fock_norm_slice(f, u, params, grid) for u in axes]
+            assert sup.value == max(norms)
+            assert fock_norm_slice(f, sup.axis, params, grid) == sup.value
+            assert sup.axis in axes
 
 
 @pytest.mark.parametrize("p", [4.0 / 3.0, 3.0])

@@ -21,6 +21,7 @@ from slicefock import (
     run_suite,
     write_reports,
 )
+from slicefock import checks, fock, harness, series
 from slicefock.checks import run_check
 from slicefock.harness import REPORT_COLUMNS
 
@@ -36,6 +37,7 @@ def test_random_series_is_deterministic():
     assert a.degree == 6
     with pytest.raises(ValueError):
         random_series(1, -1)
+    assert random_series is series.random_series is harness.random_series
 
 
 def test_registry_paper_refs_nonempty():
@@ -157,11 +159,34 @@ def test_split_roundtrip_passes_at_seed_27():
     assert run_check("split-roundtrip", RunConfig(seed=27)).passed
 
 
-@pytest.mark.parametrize("check_id", ["rep-formula", "rep-kernel-disk", "rep-kernel-plane"])
+@pytest.mark.parametrize("check_id", ["rep-formula", "rep-kernel-disk", "rep-kernel-plane",
+                                      "star-pointwise", "growth-bound", "growth-normalized"])
 def test_checks_fail_on_nan_values(check_id, monkeypatch):
+    # a fresh growth cache: clean data must not hide the NaN, nor NaN data leak out
+    monkeypatch.setattr(checks, "_GROWTH_CACHE", {})
     nan = Quaternion(math.nan, math.nan, math.nan, math.nan)
     monkeypatch.setattr(SliceSeries, "eval", lambda self, q: nan)
     monkeypatch.setattr(SliceSeries, "eval_many",
                         lambda self, points: np.full(np.shape(points), math.nan))
+    outcome = run_check(check_id, RunConfig(n_r=16, n_theta=64))
+    assert math.isnan(outcome.lhs) and not outcome.passed
+
+
+# norm-sandwich also reads the stem terms but still skips NaN ratios: perfbench's
+# test_nan_injection_raises_fail_ratio pins that loop
+@pytest.mark.parametrize("check_id", ["growth-bound", "growth-normalized", "embedding",
+                                      "dilation", "poly-density"])
+def test_slice_norm_checks_fail_on_nan_stem_terms(check_id, monkeypatch):
+    monkeypatch.setattr(checks, "_GROWTH_CACHE", {})
+    monkeypatch.setattr(fock, "_stem_terms", lambda f, grid: (
+        np.full(grid.size, math.nan), np.full((3, grid.size), math.nan)))
+    outcome = run_check(check_id, RunConfig(n_r=16, n_theta=64, n_slices=8))
+    assert math.isnan(outcome.lhs) and not outcome.passed
+
+
+@pytest.mark.parametrize("check_id", ["hermiticity", "orthogonality"])
+def test_inner_product_checks_fail_on_nan(check_id, monkeypatch):
+    nan = Quaternion(math.nan, math.nan, math.nan, math.nan)
+    monkeypatch.setattr(checks, "inner_product", lambda *args: nan)
     outcome = run_check(check_id, RunConfig(n_r=16, n_theta=64))
     assert math.isnan(outcome.lhs) and not outcome.passed
