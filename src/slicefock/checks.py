@@ -2,8 +2,12 @@
 
 Each check draws its own deterministic random data from the run seed and
 its own identifier, so records do not depend on which other checks run.
-Outcomes follow one convention: a check passes when lhs <= rhs*(1+slack)
-with lhs and rhs finite, and margin = rhs*(1+slack) - lhs.  Identity-style
+Every check returns a CheckResult, the one record type: ``_outcome``
+fills lhs, rhs, constant, margin and passed, ``run_check`` stamps the
+check id and paper reference, and the harness stamps the wall time;
+``record()`` gives exactly the REPORT_COLUMNS that reports emit.  A check
+passes when lhs <= rhs*(1+slack) with lhs and rhs finite, and
+margin = rhs*(1+slack) - lhs.  Identity-style
 checks put the worst residual in lhs and the tolerance in rhs with zero
 slack.  A check's config is also the FockParams of its integrals; a check
 that needs other parameters passes dataclasses.replace(config, ...).
@@ -38,25 +42,39 @@ from .quadrature import build_polar_grid, slice_sample
 from .quaternions import I, J, K, ONE, Quaternion, random_unit_imaginary
 from .series import SliceSeries, pointwise_star_residual, random_series
 
-__all__ = ["CheckOutcome", "CheckDef", "REGISTRY", "DEFAULT_CHECKS", "run_check"]
+__all__ = ["CheckResult", "REPORT_COLUMNS", "CheckDef", "REGISTRY", "DEFAULT_CHECKS",
+           "lookup_check", "run_check"]
+
+# The emitted columns, in order; "pass" is the field ``passed``.
+REPORT_COLUMNS = ("check_id", "paper_ref", "lhs", "rhs", "constant", "margin", "pass")
 
 
 @dataclass
-class CheckOutcome:
+class CheckResult:
+    """One check's result.  Timings and notes stay off the emitted record."""
+
     lhs: float
     rhs: float
     constant: float
     margin: float
     passed: bool
     note: str = ""
+    check_id: str = ""
+    paper_ref: str = ""
+    seconds: float = 0.0
+
+    def record(self) -> dict:
+        """The emitted record: exactly the report columns, floats as they are."""
+        return {col: getattr(self, "passed" if col == "pass" else col)
+                for col in REPORT_COLUMNS}
 
 
 def _outcome(lhs: float, rhs: float, constant: float = 0.0, slack: float = 0.0,
-             also: bool = True, note: str = "") -> CheckOutcome:
+             also: bool = True, note: str = "") -> CheckResult:
     bound = rhs * (1.0 + slack)
     passed = bool(lhs <= bound) and also and math.isfinite(lhs) and math.isfinite(rhs)
-    return CheckOutcome(float(lhs), float(rhs), float(constant),
-                        float(bound - lhs), passed, note)
+    return CheckResult(float(lhs), float(rhs), float(constant),
+                       float(bound - lhs), passed, note)
 
 
 def _rng_for(config, check_id: str) -> np.random.Generator:
@@ -81,20 +99,11 @@ def _ball_point(rng: np.random.Generator, r_scale: float = 0.98) -> Quaternion:
     return Quaternion.from_components(_ball_points(rng, 1, r_scale)[0])
 
 
-def _max_coeff_diff(f: SliceSeries, g: SliceSeries) -> float:
-    n = max(f.degree, g.degree)
-    a = np.zeros((n + 1, 4))
-    b = np.zeros((n + 1, 4))
-    a[: f.degree + 1] = f.coeffs
-    b[: g.degree + 1] = g.coeffs
-    return float(np.abs(a - b).max())
-
-
 # ---------------------------------------------------------------------------
 # star-algebra checks
 
 
-def _check_star_assoc(config) -> CheckOutcome:
+def _check_star_assoc(config) -> CheckResult:
     rng = _rng_for(config, "star-assoc")
     errors = []
     for _ in range(200):
@@ -103,12 +112,12 @@ def _check_star_assoc(config) -> CheckOutcome:
         left = f.star(g).star(h)
         right = f.star(g.star(h))
         one = SliceSeries.constant(ONE)
-        errors += [_max_coeff_diff(left, right), _max_coeff_diff(one.star(f), f),
-                   _max_coeff_diff(f.star(one), f)]
+        errors += [np.abs((a - b).coeffs).max()
+                   for a, b in ((left, right), (one.star(f), f), (f.star(one), f))]
     return _outcome(np.max(errors), 1e-12)
 
 
-def _check_star_conj_real(config) -> CheckOutcome:
+def _check_star_conj_real(config) -> CheckResult:
     rng = _rng_for(config, "star-conj-real")
     errors = []
     for _ in range(200):
@@ -118,7 +127,7 @@ def _check_star_conj_real(config) -> CheckOutcome:
     return _outcome(np.max(errors), 1e-13)
 
 
-def _check_split_roundtrip(config) -> CheckOutcome:
+def _check_split_roundtrip(config) -> CheckResult:
     rng = _rng_for(config, "split-roundtrip")
     axes_exact = True
     errors = []
@@ -130,13 +139,13 @@ def _check_split_roundtrip(config) -> CheckOutcome:
         for _ in range(8):
             u = random_unit_imaginary(rng)
             back = f.split(u).recombine()
-            errors.append(_max_coeff_diff(back, f) / (1.0 + float(np.abs(f.coeffs).max())))
+            errors.append(np.abs((back - f).coeffs).max() / (1.0 + np.abs(f.coeffs).max()))
     return _outcome(np.max(errors), 1e-14, also=axes_exact,
                     note="coordinate-axis splits are bit-exact" if axes_exact
                     else "coordinate-axis split failed bit-exact round-trip")
 
 
-def _check_rep_formula(config) -> CheckOutcome:
+def _check_rep_formula(config) -> CheckResult:
     rng = _rng_for(config, "rep-formula")
     errors = []
     for _ in range(100):
@@ -148,7 +157,7 @@ def _check_rep_formula(config) -> CheckOutcome:
     return _outcome(np.max(errors), 1e-12)
 
 
-def _check_star_reciprocal(config) -> CheckOutcome:
+def _check_star_reciprocal(config) -> CheckResult:
     rng = _rng_for(config, "star-reciprocal")
     order = config.max_degree
     errors = []
@@ -165,7 +174,7 @@ def _check_star_reciprocal(config) -> CheckOutcome:
                     note="residual scaled by the reciprocal coefficient magnitude")
 
 
-def _check_star_pointwise(config) -> CheckOutcome:
+def _check_star_pointwise(config) -> CheckResult:
     rng = _rng_for(config, "star-pointwise")
     errors = []
     for trial in range(500):
@@ -185,7 +194,7 @@ def _check_star_pointwise(config) -> CheckOutcome:
 # quadrature and Gram checks
 
 
-def _check_quad_calibration(config) -> CheckOutcome:
+def _check_quad_calibration(config) -> CheckResult:
     errors = []
     disk = build_polar_grid(config.n_r, config.n_theta, 1.0)
     for alpha in (0.5, 1.0, 2.0):
@@ -197,7 +206,7 @@ def _check_quad_calibration(config) -> CheckOutcome:
     return _outcome(np.max(errors), 1e-10)
 
 
-def _check_gram_oracle(config) -> CheckOutcome:
+def _check_gram_oracle(config) -> CheckResult:
     errors = []
     for alpha in (0.5, 1.0, 2.0):
         table = gram_table(replace(config, alpha=alpha, domain="disk", degree=12))
@@ -206,7 +215,7 @@ def _check_gram_oracle(config) -> CheckOutcome:
     return _outcome(np.max(errors), 1e-9)
 
 
-def _check_orthogonality(config) -> CheckOutcome:
+def _check_orthogonality(config) -> CheckResult:
     params = replace(config, domain="disk", degree=12)
     grid = build_grid(params)
     diag = gram_table(params, grid).diag
@@ -236,7 +245,7 @@ def _slice_axes(n_slices: int) -> np.ndarray:
     return np.array([u.as_array() for u in slice_sample(n_slices)])
 
 
-def _check_norm_sandwich(config) -> CheckOutcome:
+def _check_norm_sandwich(config) -> CheckResult:
     rng = _rng_for(config, "norm-sandwich")
     grid = build_grid(config)
     slices = slice_sample(config.n_slices)
@@ -287,14 +296,14 @@ def _growth_data(config):
     return ps, rows
 
 
-def _check_growth_normalized(config) -> CheckOutcome:
+def _check_growth_normalized(config) -> CheckResult:
     ps, rows = _growth_data(config)
     ratios = [float((vals * weights).max()) / sups[p]
               for vals, weights, sups in rows for p in ps]
     return _outcome(np.max(ratios), 2.0, constant=2.0, slack=5e-7)
 
 
-def _check_growth_bound(config) -> CheckOutcome:
+def _check_growth_bound(config) -> CheckResult:
     ps, rows = _growth_data(config)
     ratios, constants = [], []
     for vals, weights, sups in rows:
@@ -307,7 +316,7 @@ def _check_growth_bound(config) -> CheckOutcome:
     return _outcome(worst, 1.0, constant=const, slack=1e-8)
 
 
-def _check_embedding(config) -> CheckOutcome:
+def _check_embedding(config) -> CheckResult:
     rng = _rng_for(config, "embedding")
     grid = build_grid(replace(config, p=2.0, domain="plane"))
     slices = _slice_axes(config.n_slices)
@@ -329,7 +338,7 @@ def _check_embedding(config) -> CheckOutcome:
     return _outcome(worst, 1.0, constant=const, slack=1e-8, note=note)
 
 
-def _check_dilation(config) -> CheckOutcome:
+def _check_dilation(config) -> CheckResult:
     rng = _rng_for(config, "dilation")
     grid = build_grid(config)
     slices = _slice_axes(config.n_slices)
@@ -350,7 +359,7 @@ def _check_dilation(config) -> CheckOutcome:
                     note="compares the p-th powers ||f_r - f||^p / ||f||^p")
 
 
-def _check_hermiticity(config) -> CheckOutcome:
+def _check_hermiticity(config) -> CheckResult:
     rng = _rng_for(config, "hermiticity")
     grid = build_grid(config)
     errors = []
@@ -370,7 +379,7 @@ def _check_hermiticity(config) -> CheckOutcome:
     return _outcome(np.max(errors), 1e-10)
 
 
-def _check_poly_density(config) -> CheckOutcome:
+def _check_poly_density(config) -> CheckResult:
     rng = _rng_for(config, "poly-density")
     grid = build_grid(config)
     slices = _slice_axes(config.n_slices)
@@ -393,28 +402,29 @@ def _check_poly_density(config) -> CheckOutcome:
 def _reproduction_error(params, corrected: bool) -> float:
     rng = _rng_for(params, "rep-kernel")
     grid = build_grid(params)
-    points = [Quaternion.from_components(c) for c in _ball_points(rng, 20, r_scale=0.95)]
+    points = _ball_points(rng, 20, r_scale=0.95)
     errors = []
     for m in range(9):
         mono = SliceSeries.monomial(m)
         samples = sample_on_grid(mono, I, grid)
         proj = projection_series(samples, I, params, grid, corrected=corrected)
-        errors.extend(abs(proj.eval(q) - mono.eval(q)) for q in points)
+        diff = proj.eval_many(points) - mono.eval_many(points)
+        errors.append(np.sqrt(np.sum(diff * diff, axis=1)))
     return float(np.max(errors))
 
 
-def _check_rep_kernel_disk(config) -> CheckOutcome:
+def _check_rep_kernel_disk(config) -> CheckResult:
     params = replace(config, domain="disk")
     return _outcome(_reproduction_error(params, corrected=True), 1e-8)
 
 
-def _check_rep_kernel_plane(config) -> CheckOutcome:
+def _check_rep_kernel_plane(config) -> CheckResult:
     params = replace(config, domain="plane")
     return _outcome(_reproduction_error(params, corrected=False), 1e-6,
                     note="radius %g truncation of the plane" % config.radius)
 
 
-def _check_rep_kernel_plane_r4(config) -> CheckOutcome:
+def _check_rep_kernel_plane_r4(config) -> CheckResult:
     err = _reproduction_error(replace(config, domain="plane", radius=4.0), corrected=False)
     return _outcome(err, 1e-6,
                     note="radius-4 truncation drops Gaussian tail mass of order 1e-2 "
@@ -495,10 +505,16 @@ REGISTRY: dict[str, CheckDef] = {
 DEFAULT_CHECKS = tuple(name for name, spec in REGISTRY.items() if spec.default)
 
 
-def run_check(check_id: str, config) -> CheckOutcome:
+def lookup_check(check_id: str) -> CheckDef:
+    """The registry entry of check_id; ValueError names the known ids."""
     try:
-        spec = REGISTRY[check_id]
+        return REGISTRY[check_id]
     except KeyError:
         raise ValueError("unknown check id %r (known: %s)"
                          % (check_id, ", ".join(sorted(REGISTRY)))) from None
-    return spec.run(config)
+
+
+def run_check(check_id: str, config) -> CheckResult:
+    """Run one check; the result carries its id and paper reference."""
+    spec = lookup_check(check_id)
+    return replace(spec.run(config), check_id=check_id, paper_ref=spec.paper_ref)

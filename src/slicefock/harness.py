@@ -2,10 +2,13 @@
 
 A run is fully described by a RunConfig: the FockParams of its integrals
 (weight, domain, quadrature) extended by the run fields.  Identical configs
-(seed included) produce byte-identical reports, emitted as a JSON list and a
-CSV mirror with the columns check_id, paper_ref, lhs, rhs, constant,
-margin, pass; wall-clock timings are kept on the in-memory results only so
-they never perturb the bytes.
+(seed included) produce byte-identical reports.  Each check yields one
+CheckResult (defined in ``checks``, re-exported here); its ``record()``
+holds exactly the REPORT_COLUMNS check_id, paper_ref, lhs, rhs, constant,
+margin, pass, and both renderings are built from it: a strict-JSON list,
+where a non-finite number is written as null, and a CSV mirror, where
+floats keep their repr (``nan``).  Wall-clock timings are kept on the
+in-memory results only so they never perturb the bytes.
 """
 
 from __future__ import annotations
@@ -13,17 +16,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .checks import DEFAULT_CHECKS, REGISTRY, run_check
+from .checks import DEFAULT_CHECKS, REPORT_COLUMNS, CheckResult, lookup_check, run_check
 from .fock import FockParams
 from .series import random_series  # re-exported: harness.random_series
 
 __all__ = [
     "RunConfig",
     "CheckResult",
+    "REPORT_COLUMNS",
     "random_series",
     "run_suite",
     "render_json",
@@ -31,13 +36,12 @@ __all__ = [
     "write_reports",
 ]
 
-REPORT_COLUMNS = ("check_id", "paper_ref", "lhs", "rhs", "constant", "margin", "pass")
-
 
 @dataclass(frozen=True)
 class RunConfig(FockParams):
     """A verification run: the FockParams of its integrals plus the run
-    fields; hashable and reproducible.  checks=None runs the default set."""
+    fields; hashable and reproducible.  checks=None runs the default set;
+    an unknown check id is rejected here, before anything runs."""
 
     seed: int = 42
     n_series: int = 200
@@ -54,6 +58,8 @@ class RunConfig(FockParams):
             raise ValueError("max_degree must be non-negative")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
+        for check_id in self.selected_checks():
+            lookup_check(check_id)
 
     def selected_checks(self) -> tuple[str, ...]:
         if self.checks is None:
@@ -61,64 +67,34 @@ class RunConfig(FockParams):
         return tuple(self.checks)
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    paper_ref: str
-    lhs: float
-    rhs: float
-    constant: float
-    margin: float
-    passed: bool
-    seconds: float = 0.0
-    note: str = ""
-
-    def record(self) -> dict:
-        """The emitted record: exactly the report columns, nothing timed."""
-        return {
-            "check_id": self.check_id,
-            "paper_ref": self.paper_ref,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "margin": self.margin,
-            "pass": self.passed,
-        }
-
-
 def run_suite(config: RunConfig) -> list[CheckResult]:
     """Run the selected checks (all defaults when unset), sorted by id.
 
     Every check seeds its own generator from (config.seed, check id), so
     records are identical whether a check runs alone or with others.
-    Unknown ids raise ValueError before anything runs.
     """
-    ids = sorted(set(config.selected_checks()))
-    for check_id in ids:
-        if check_id not in REGISTRY:
-            raise ValueError("unknown check id %r (known: %s)"
-                             % (check_id, ", ".join(sorted(REGISTRY))))
     results = []
-    for check_id in ids:
+    for check_id in sorted(set(config.selected_checks())):
         start = time.perf_counter()
-        outcome = run_check(check_id, config)
-        elapsed = time.perf_counter() - start
-        results.append(CheckResult(
-            check_id=check_id,
-            paper_ref=REGISTRY[check_id].paper_ref,
-            lhs=outcome.lhs,
-            rhs=outcome.rhs,
-            constant=outcome.constant,
-            margin=outcome.margin,
-            passed=outcome.passed,
-            seconds=elapsed,
-            note=outcome.note,
-        ))
+        result = run_check(check_id, config)
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results
 
 
+def _json_value(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def render_json(results: Sequence[CheckResult]) -> str:
-    return json.dumps([r.record() for r in results], indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a non-finite lhs, rhs, constant or margin is null."""
+    records = [{col: _json_value(v) for col, v in r.record().items()} for r in results]
+    return json.dumps(records, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
 
 
 def render_csv(results: Sequence[CheckResult]) -> str:
@@ -126,10 +102,7 @@ def render_csv(results: Sequence[CheckResult]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
     for r in results:
-        rec = r.record()
-        writer.writerow([rec["check_id"], rec["paper_ref"], repr(rec["lhs"]),
-                         repr(rec["rhs"]), repr(rec["constant"]), repr(rec["margin"]),
-                         "true" if rec["pass"] else "false"])
+        writer.writerow([_csv_cell(v) for v in r.record().values()])
     return buf.getvalue()
 
 

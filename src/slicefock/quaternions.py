@@ -318,7 +318,12 @@ def decompose_basis(a: Quaternion, u: Quaternion, v: Quaternion) -> tuple[comple
 
 
 def compose_basis(z: complex, w: complex, u: Quaternion, v: Quaternion) -> Quaternion:
-    """Inverse of decompose_basis: (z.re + z.im*u) + (w.re + w.im*u)*v."""
+    """Inverse of decompose_basis: (z.re + z.im*u) + (w.re + w.im*u)*v.
+
+    Raises, like decompose_basis, unless (u, v) are anticommuting unit
+    imaginaries.
+    """
+    _check_slice_basis(u, v)
     return Quaternion.from_components(from_frame(z, w, _frame(u, v)))
 
 

@@ -21,7 +21,7 @@ from slicefock import (
     run_suite,
     write_reports,
 )
-from slicefock import checks, fock, harness, series
+from slicefock import checks, cli, fock, harness, series
 from slicefock.checks import run_check
 from slicefock.harness import REPORT_COLUMNS
 
@@ -57,6 +57,8 @@ def test_run_suite_empty_checks():
 def test_run_suite_unknown_check():
     with pytest.raises(ValueError, match="unknown check id"):
         run_suite(RunConfig(checks=("star-assoc", "no-such-check")))
+    with pytest.raises(ValueError, match="unknown check id"):
+        run_check("no-such-check", RunConfig())
 
 
 def test_run_suite_sorted_and_passing():
@@ -142,6 +144,8 @@ def test_runconfig_validates_params_and_run_fields():
         RunConfig(n_series=0)
     with pytest.raises(ValueError, match="format"):
         RunConfig(fmt="xml")
+    with pytest.raises(ValueError, match="unknown check id"):
+        RunConfig(checks=("bogus",))
 
 
 @pytest.mark.parametrize("check_id", ["gram-oracle", "orthogonality"])
@@ -190,3 +194,25 @@ def test_inner_product_checks_fail_on_nan(check_id, monkeypatch):
     monkeypatch.setattr(checks, "inner_product", lambda *args: nan)
     outcome = run_check(check_id, RunConfig(n_r=16, n_theta=64))
     assert math.isnan(outcome.lhs) and not outcome.passed
+
+
+def _reject_constant(token):
+    raise ValueError("non-JSON constant %s" % token)
+
+
+def test_nan_record_is_written_as_strict_json(monkeypatch, capsys):
+    monkeypatch.setattr(fock, "_stem_terms", lambda f, grid: (
+        np.full(grid.size, math.nan), np.full((3, grid.size), math.nan)))
+    small = dict(n_r=16, n_theta=64, n_slices=8)
+    results = run_suite(RunConfig(checks=("dilation",), **small))
+    assert math.isnan(results[0].record()["lhs"])
+    (rec,) = json.loads(render_json(results), parse_constant=_reject_constant)
+    assert rec["lhs"] is None and rec["margin"] is None and rec["pass"] is False
+    assert rec["rhs"] == results[0].rhs
+    assert ",nan," in render_csv(results)
+    args = ["verify", "--checks", "dilation", "--emit-report",
+            "--quad-r", "16", "--quad-theta", "64", "--slices", "8"]
+    assert cli.main(args) == 1
+    out = capsys.readouterr().out
+    (rec,) = json.loads(out[out.index("\n[\n"):], parse_constant=_reject_constant)
+    assert rec["lhs"] is None and rec["pass"] is False

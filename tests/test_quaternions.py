@@ -192,6 +192,11 @@ def test_decompose_basis_rejects_bad_pairs():
         decompose_basis(ONE, I, I)
     with pytest.raises(ValueError):
         decompose_basis(ONE, I, Quaternion(0, 0, 0.6, 0.8) + Quaternion(0, 0.1, 0, 0))
+    # compose_basis validates the same pair: u = v, and a non-unit v
+    with pytest.raises(ValueError, match="orthogonal"):
+        compose_basis(1 + 2j, 3 + 4j, I, I)
+    with pytest.raises(ValueError, match="unit norm"):
+        compose_basis(1 + 2j, 3 + 4j, I, Quaternion(0, 0, 2, 0))
 
 
 def test_decompose_compose_roundtrip(rng):
