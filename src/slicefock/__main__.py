@@ -1,0 +1,7 @@
+"""``python -m slicefock``: the command-line front end without the console script."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

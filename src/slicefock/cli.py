@@ -10,6 +10,11 @@ and a key=value line of a --config file (flags win).  verify takes every
 key; norm, kernel and gram take the FockParams keys and --seed.  Values are
 validated once, by constructing the RunConfig.
 
+verify prints one PASS/FAIL line per check on stdout; when the report itself
+goes to stdout (--emit-report, or --format without --out) those lines go to
+stderr, so stdout is exactly the report.  ``python -m slicefock`` runs the
+same front end.
+
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or parse errors, 3 I/O errors.
 """
@@ -119,17 +124,20 @@ def _parse_point(text: str, what: str) -> Quaternion:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _build_config(args)
     results = run_suite(config)
+    report_to_stdout = not config.out and (args.emit_report or args.fmt is not None)
+    # a report on stdout must be the whole of stdout, so the status lines move aside
+    log = sys.stderr if report_to_stdout else sys.stdout
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         line = "%s %-22s lhs=%.6g rhs=%.6g margin=%.6g (%.2fs)" % (
             status, r.check_id, r.lhs, r.rhs, r.margin, r.seconds)
         if r.note:
             line += "  [%s]" % r.note
-        print(line)
+        print(line, file=log)
     if config.out:
         json_path, csv_path = write_reports(results, config.out)
         print("report: %s, %s" % (json_path, csv_path))
-    elif args.emit_report or args.fmt is not None:
+    elif report_to_stdout:
         sys.stdout.write(render_json(results) if config.fmt == "json" else render_csv(results))
     failed = [r.check_id for r in results if not r.passed]
     if failed:
@@ -192,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--list-checks", action="store_true",
                           help="list known check ids and exit")
     p_verify.add_argument("--emit-report", action="store_true",
-                          help="print the raw report to stdout")
+                          help="print the raw report to stdout (the PASS/FAIL lines "
+                               "then go to stderr)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate a series file at a point")

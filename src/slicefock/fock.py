@@ -171,15 +171,16 @@ def _stem_terms(f: SliceSeries, grid: PolarGrid):
     return a, b
 
 
-def _slice_rows(a: np.ndarray, b: np.ndarray, axes: np.ndarray) -> np.ndarray:
+def _slice_rows(a: np.ndarray, b2: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """A + 2 u.B for each axis u, a row of the (m, 3) array ``axes``, clamped at 0.
+
+    ``b2`` is 2B, doubled once by the caller however many blocks it fills.
 
     At a zero of f the two terms cancel and rounding can leave a value of
     order -1e-14, which a fractional power would turn into NaN; the clamp
     keeps NaN for NaN input.  Rows are filled one at a time, so the working
     set stays in cache.
     """
-    b2 = 2.0 * b
     rows = np.empty((len(axes), a.size))
     for row, u in zip(rows, axes):
         np.multiply(u[0], b2[0], out=row)
@@ -211,7 +212,8 @@ def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
     (result shape (len(u), n), one row per axis).  Every row comes from the
     same stem-function sweep of f: |f|^2 = A + 2 u.B (module docstring).
     """
-    rows = _slice_rows(*_stem_terms(f, grid), _axis_rows(u))
+    a, b = _stem_terms(f, grid)
+    rows = _slice_rows(a, 2.0 * b, _axis_rows(u))
     return rows[0] if isinstance(u, Quaternion) else rows
 
 
@@ -295,17 +297,18 @@ def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
     """
     units = _axis_rows(axes)
     a, b = _stem_terms(f, grid)
+    b2 = 2.0 * b
     ps = _exponents(pairs)
     rings = {}
     if 2.0 in ps:
         shape = (grid.n_r, grid.n_theta)
         ra = np.sum(a.reshape(shape), axis=-1)
-        rb2 = np.sum((2.0 * b).reshape((3,) + shape), axis=-1)
+        rb2 = np.sum(b2.reshape((3,) + shape), axis=-1)
         rings[2.0] = (units[:, 0:1] * rb2[0] + units[:, 1:2] * rb2[1]
                       + units[:, 2:3] * rb2[2] + ra)
     rest = [p for p in ps if p != 2.0]
     if rest:
-        blocks = ((i, _slice_rows(a, b, units[i: i + _BLOCK_ROWS]))
+        blocks = ((i, _slice_rows(a, b2, units[i: i + _BLOCK_ROWS]))
                   for i in range(0, len(units), _BLOCK_ROWS))
         rings.update(_ring_sums(blocks, len(units), grid, rest))
     return _weighted_norms(rings, grid, pairs)

@@ -284,15 +284,32 @@ def slice_frame(u: Quaternion) -> np.ndarray:
 def to_frame(comps: np.ndarray, frame: np.ndarray):
     """Complex coordinates (c1, c2) of (..., 4) components in a slice frame."""
     c = np.asarray(comps, dtype=float)
-    cu, cv, cuv = (np.sum(c * row, axis=-1) for row in frame[1:])
-    return c[..., 0] + 1j * cu, cv + 1j * cuv
+    if c.shape[-1:] != (4,):
+        raise ValueError("components must form an (..., 4) array")
+    c0, c1, c2, c3 = _components(c)
+    col = frame[1:].reshape((3, 4) + (1,) * c0.ndim)
+    # one chain per frame row u, v, uv, summed in place; it starts from +0.0,
+    # as np.sum over the component axis does
+    s = c0 * col[:, 0]
+    s += 0.0
+    s += c1 * col[:, 1]
+    s += c2 * col[:, 2]
+    s += c3 * col[:, 3]
+    cu, cv, cuv = s
+    return c0 + 1j * cu, cv + 1j * cuv
+
+
+def _frame_rows(c1, c2, frame: np.ndarray) -> np.ndarray:
+    """Component rows, shape (4, ...), of c1.re + c1.im u + c2.re v + c2.im uv."""
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    col = frame.reshape((4, 4) + (1,) * max(c1.ndim, c2.ndim))
+    return c1.real * col[0] + c1.imag * col[1] + c2.real * col[2] + c2.imag * col[3]
 
 
 def from_frame(c1, c2, frame: np.ndarray) -> np.ndarray:
     """(..., 4) components c1.re + c1.im u + c2.re v + c2.im uv; inverse of to_frame."""
-    c1, c2 = np.asarray(c1), np.asarray(c2)
-    return (c1.real[..., None] * frame[0] + c1.imag[..., None] * frame[1]
-            + c2.real[..., None] * frame[2] + c2.imag[..., None] * frame[3])
+    rows = _frame_rows(c1, c2, frame)
+    return np.ascontiguousarray(rows.transpose(tuple(range(1, rows.ndim)) + (0,)))
 
 
 def _check_slice_basis(u: Quaternion, v: Quaternion, tol: float = 1e-10) -> None:
@@ -334,18 +351,52 @@ def random_unit_imaginary(rng: np.random.Generator) -> Quaternion:
     return Quaternion(0.0, v[0], v[1], v[2])
 
 
-# -- componentwise helpers on (..., 4) arrays -------------------------------
+# -- componentwise helpers on quaternion arrays -----------------------------
 #
-# The scalar class above is convenient but slow in bulk; the grid and series
-# code works on float arrays whose last axis holds the four components.
+# The scalar class above is convenient but slow in bulk.  Bulk products run
+# on component rows: a (4, M) array whose row k holds component k of M
+# quaternions, so every term of the Hamilton formula reads contiguous memory.
+# ``hamilton`` is the (..., 4) face of the same kernel.
+
+def _hamilton_rows(a, b, out):
+    """Hamilton product of component rows a and b, written into the rows of ``out``.
+
+    Each argument holds four component rows: a (4, ...) array or a sequence
+    of four arrays.  The rows of ``out`` have the broadcast shape of the
+    operand rows and must not overlap them.  Each component adds its four
+    products left to right.
+    """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    o0, o1, o2, o3 = out
+    t = np.empty_like(o0)
+    np.multiply(a0, b0, o0)
+    o0 -= np.multiply(a1, b1, t)
+    o0 -= np.multiply(a2, b2, t)
+    o0 -= np.multiply(a3, b3, t)
+    np.multiply(a0, b1, o1)
+    o1 += np.multiply(a1, b0, t)
+    o1 += np.multiply(a2, b3, t)
+    o1 -= np.multiply(a3, b2, t)
+    np.multiply(a0, b2, o2)
+    o2 -= np.multiply(a1, b3, t)
+    o2 += np.multiply(a2, b0, t)
+    o2 += np.multiply(a3, b1, t)
+    np.multiply(a0, b3, o3)
+    o3 += np.multiply(a1, b2, t)
+    o3 -= np.multiply(a2, b1, t)
+    o3 += np.multiply(a3, b0, t)
+    return out
+
+
+def _components(x: np.ndarray) -> tuple:
+    """The four component rows of an (..., 4) array, as views (0-d for one quaternion)."""
+    return x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+
 
 def hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product broadcast over leading axes of (..., 4) arrays."""
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ], axis=-1)
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast(a, b).shape[:-1] + (4,), dtype=np.result_type(a, b))
+    _hamilton_rows(_components(a), _components(b), _components(out))
+    return out

@@ -22,6 +22,8 @@ from .quaternions import (
     AXIS_EPS,
     ONE,
     Quaternion,
+    _frame_rows,
+    _hamilton_rows,
     from_frame,
     hamilton,
     slice_frame,
@@ -144,13 +146,24 @@ class SliceSeries:
         return acc
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized eval at an (M, 4) array of points; returns (M, 4)."""
+        """Vectorized eval at an (..., 4) array of points; returns the same shape.
+
+        The Horner accumulator is kept as (4, M) component rows, so each
+        step is one ``_hamilton_rows`` product on contiguous memory.
+        """
         pts = np.asarray(points, dtype=float)
-        acc = np.broadcast_to(self.coeffs[-1], pts.shape).copy()
+        if pts.shape[-1:] != (4,):
+            raise ValueError("points must form an (..., 4) component array")
+        q = np.ascontiguousarray(pts.reshape(-1, 4).T)
+        coeffs = self.coeffs[:, :, None]
+        acc = np.empty_like(q)
+        acc[:] = coeffs[-1]
+        nxt = np.empty_like(q)
         for n in range(self.degree - 1, -1, -1):
-            acc = hamilton(pts, acc)
-            acc += self.coeffs[n]
-        return acc
+            _hamilton_rows(q, acc, nxt)
+            nxt += coeffs[n]
+            acc, nxt = nxt, acc
+        return np.ascontiguousarray(acc.T).reshape(pts.shape)
 
     # -- star algebra --------------------------------------------------------
 
@@ -272,24 +285,27 @@ class SplitPair:
         projection factors (1 -+ axis(q)*u)/2.  Near-real points take the
         axis i, by the rule of ``quaternions.axis``.  On the slice of u this
         reduces to plain evaluation; elsewhere it reproduces the unique
-        slice-regular series through the slice values.
+        slice-regular series through the slice values.  The axes, slice
+        values and products are (4, M) component rows.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 4)
-        x, v = pts[:, 0], pts[:, 1:]
+        x, v = pts[:, 0], pts[:, 1:].T
         sq = v * v
-        y = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-        real = y <= AXIS_EPS * (1.0 + np.sqrt(x * x + sq[:, 0] + sq[:, 1] + sq[:, 2]))
-        iq = np.zeros_like(pts)
-        iq[real, 1] = 1.0
-        iq[~real, 1:] = v[~real] / y[~real, None]
+        y = np.sqrt(sq[0] + sq[1] + sq[2])
+        real = y <= AXIS_EPS * (1.0 + np.sqrt(x * x + sq[0] + sq[1] + sq[2]))
+        iq = np.zeros((4, len(pts)))
+        iq[1, real] = 1.0
+        iq[1:, ~real] = v[:, ~real] / y[~real]
         z = np.empty(len(pts), dtype=complex)
         z.real = x
         z.imag = y
-        fz = from_frame(*self.eval_components(z), self.frame)
-        fzbar = from_frame(*self.eval_components(z.conjugate()), self.frame)
-        iq_u = hamilton(iq, self.frame[1])
-        one = ONE.as_array()
-        return 0.5 * (hamilton(one - iq_u, fz) + hamilton(one + iq_u, fzbar))
+        fz = _frame_rows(*self.eval_components(z), self.frame)
+        fzbar = _frame_rows(*self.eval_components(z.conjugate()), self.frame)
+        iq_u = _hamilton_rows(iq, self.frame[1], np.empty_like(iq))
+        one = ONE.as_array()[:, None]
+        mean = 0.5 * (_hamilton_rows(one - iq_u, fz, np.empty_like(iq))
+                      + _hamilton_rows(one + iq_u, fzbar, np.empty_like(iq)))
+        return np.ascontiguousarray(mean.T)
 
 
 def star_exponential(w: Quaternion, alpha: float, degree: int) -> SliceSeries:

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import slicefock
 from slicefock import RunConfig, SliceSeries, write_series
 from slicefock.cli import _CONFIG_KEYS, _build_config, build_parser, main
 
@@ -140,14 +143,30 @@ def test_verify_writes_byte_identical_reports(tmp_path, capsys):
 def test_verify_emit_report_stdout(capsys):
     assert main(["verify", "--checks", "quad-calibration", "--emit-report",
                  "--format", "csv"]) == 0
-    out = capsys.readouterr().out
-    assert "check_id,paper_ref,lhs,rhs,constant,margin,pass" in out
+    captured = capsys.readouterr()
+    assert captured.out.startswith("check_id,paper_ref,lhs,rhs,constant,margin,pass\n")
+    assert captured.err.startswith("PASS quad-calibration")
 
 
 def test_verify_format_flag_implies_report(capsys):
     assert main(["verify", "--checks", "quad-calibration", "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert '"check_id": "quad-calibration"' in out
+    captured = capsys.readouterr()
+    (rec,) = json.loads(captured.out)
+    assert rec["check_id"] == "quad-calibration"
+    assert "PASS" in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(slicefock.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicefock", "verify", "--checks", "quad-calibration",
+         "--emit-report"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json.loads(proc.stdout)
+    assert rec["check_id"] == "quad-calibration" and rec["pass"] is True
+    assert proc.stderr.startswith("PASS quad-calibration")
 
 
 def test_verify_unwritable_out_exits_3(tmp_path, capsys):

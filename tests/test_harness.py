@@ -213,6 +213,7 @@ def test_nan_record_is_written_as_strict_json(monkeypatch, capsys):
     args = ["verify", "--checks", "dilation", "--emit-report",
             "--quad-r", "16", "--quad-theta", "64", "--slices", "8"]
     assert cli.main(args) == 1
-    out = capsys.readouterr().out
-    (rec,) = json.loads(out[out.index("\n[\n"):], parse_constant=_reject_constant)
+    captured = capsys.readouterr()
+    (rec,) = json.loads(captured.out, parse_constant=_reject_constant)
     assert rec["lhs"] is None and rec["pass"] is False
+    assert captured.err.startswith("FAIL dilation")

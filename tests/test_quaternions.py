@@ -28,6 +28,15 @@ from slicefock.quaternions import (
     to_frame,
 )
 
+from conftest import (
+    assert_bit_identical,
+    broadcast_from_frame,
+    layouts,
+    stack_hamilton,
+    sum_to_frame,
+    with_signed_zeros,
+)
+
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
 
@@ -268,6 +277,53 @@ def test_hamilton_matches_scalar(rng):
         qa = Quaternion.from_components(a[k])
         qb = Quaternion.from_components(b[k])
         assert np.allclose(out[k], (qa * qb).as_array(), atol=1e-14)
+
+
+BIT_SIZES = (0, 1, 7, 20_000)
+
+
+@pytest.mark.parametrize("m", BIT_SIZES)
+def test_hamilton_bit_identical_to_stack_formula(m, rng):
+    a = with_signed_zeros(rng, (m, 4))
+    b = with_signed_zeros(rng, (m, 4))
+    single = with_signed_zeros(rng, (1, 4))
+    for x in layouts(a).values():
+        for y in layouts(b).values():
+            assert_bit_identical(hamilton(x, y), stack_hamilton(x, y))
+        # the broadcasts used by star, scale_right and extend_many
+        assert_bit_identical(hamilton(single, x), stack_hamilton(single, x))
+        assert_bit_identical(hamilton(x, single[0]), stack_hamilton(x, single[0]))
+    one = np.array([-0.0, 0.0, -0.0, 2.0])
+    assert_bit_identical(hamilton(one, -one), stack_hamilton(one, -one))
+    nested = a[: m - m % 6].reshape(2, -1, 3, 4)
+    assert_bit_identical(hamilton(nested, single), stack_hamilton(nested, single))
+
+
+@pytest.mark.parametrize("m", BIT_SIZES)
+def test_frame_maps_bit_identical_to_sum_and_broadcast(m, rng):
+    comps = with_signed_zeros(rng, (m, 4))
+    comps[: m // 7] = -0.0                       # whole rows of negative zeros
+    for u in (I, J, K, random_unit_imaginary(rng)):
+        frame = slice_frame(u)
+        for x in layouts(comps).values():
+            got, want = to_frame(x, frame), sum_to_frame(x, frame)
+            assert_bit_identical(got[0], want[0])
+            assert_bit_identical(got[1], want[1])
+        c1, c2 = (np.empty(m, dtype=complex) for _ in range(2))
+        for c in (c1, c2):
+            c.real = with_signed_zeros(rng, m)
+            c.imag = with_signed_zeros(rng, m)
+        pairs = [(c1, c2), (np.repeat(c1, 2)[::2], np.repeat(c2, 2)[::2])]
+        if m:
+            pairs += [(c1[:1], c2), (c1[0], c2[-1])]
+        for a, b in pairs:
+            assert_bit_identical(from_frame(a, b, frame), broadcast_from_frame(a, b, frame))
+    frame = slice_frame(I)
+    assert_bit_identical(from_frame(-0.0 + 0j, -0.0 - 0j, frame),
+                         broadcast_from_frame(-0.0 + 0j, -0.0 - 0j, frame))
+    for bad in (np.zeros((5, 3)), np.zeros((2, 5)), np.zeros(())):
+        with pytest.raises(ValueError):
+            to_frame(bad, frame)
 
 
 def test_text_roundtrip():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicefock import (
+    AXIS_EPS,
     DEGREE_CAP,
     I,
     J,
@@ -24,7 +25,15 @@ from slicefock import (
 )
 from slicefock.quaternions import random_unit_imaginary
 
-from conftest import ball_point, make_series
+from conftest import (
+    assert_bit_identical,
+    ball_point,
+    broadcast_from_frame,
+    layouts,
+    make_series,
+    stack_hamilton,
+    with_signed_zeros,
+)
 
 coeff_lists = st.lists(
     st.tuples(*[st.floats(min_value=-3, max_value=3, allow_nan=False)] * 4),
@@ -318,6 +327,62 @@ def test_extend_many_matches_scalar_eval(degree, rng):
         assert abs(Quaternion.from_components(value) - want) <= 1e-12
     single = pair.extend(Quaternion.from_components(points[20]))
     assert np.array_equal(single.as_array(), got[20])
+
+
+# -- bit identity with the earlier (M, 4) formulas --------------------------------
+
+def horner_stack(f: SliceSeries, points) -> np.ndarray:
+    """eval_many as a Horner loop of np.stack Hamilton products on (..., 4) arrays."""
+    pts = np.asarray(points, dtype=float)
+    acc = np.broadcast_to(f.coeffs[-1], pts.shape).copy()
+    for n in range(f.degree - 1, -1, -1):
+        acc = stack_hamilton(pts, acc)
+        acc += f.coeffs[n]
+    return acc
+
+
+def extend_stack(pair, points) -> np.ndarray:
+    """extend_many with (M, 4) arrays, np.stack products and broadcast frame rows."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 4)
+    x, v = pts[:, 0], pts[:, 1:]
+    sq = v * v
+    y = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    real = y <= AXIS_EPS * (1.0 + np.sqrt(x * x + sq[:, 0] + sq[:, 1] + sq[:, 2]))
+    iq = np.zeros_like(pts)
+    iq[real, 1] = 1.0
+    iq[~real, 1:] = v[~real] / y[~real, None]
+    z = np.empty(len(pts), dtype=complex)
+    z.real = x
+    z.imag = y
+    fz = broadcast_from_frame(*pair.eval_components(z), pair.frame)
+    fzbar = broadcast_from_frame(*pair.eval_components(z.conjugate()), pair.frame)
+    iq_u = stack_hamilton(iq, pair.frame[1])
+    one = ONE.as_array()
+    return 0.5 * (stack_hamilton(one - iq_u, fz) + stack_hamilton(one + iq_u, fzbar))
+
+
+@pytest.mark.parametrize("degree", (0, 1, 10, 32))
+@pytest.mark.parametrize("m", (0, 1, 7, 20_000))
+def test_eval_and_extend_many_bit_identical_to_stack_formula(degree, m, rng):
+    f = SliceSeries(with_signed_zeros(rng, (degree + 1, 4)))
+    points = with_signed_zeros(rng, (m, 4))
+    points[: m // 7, 1:] = -0.0                  # real points, signed zeros in Im
+    pair = f.split(random_unit_imaginary(rng))
+    for x in layouts(points).values():
+        assert_bit_identical(f.eval_many(x), horner_stack(f, x))
+        assert_bit_identical(pair.extend_many(x), extend_stack(pair, x))
+
+
+def test_eval_many_shape_contract(rng):
+    f = make_series(rng, 6)
+    for shape in ((4,), (0, 4), (2, 3, 4)):
+        points = rng.standard_normal(shape)
+        assert_bit_identical(f.eval_many(points), horner_stack(f, points))
+    q = Quaternion(0.3, -0.2, 0.1, 0.4)
+    assert np.array_equal(f.eval_many(q.as_array()), f.eval(q).as_array())
+    for bad in (np.zeros((5, 3)), np.zeros((4, 3)), np.zeros(())):
+        with pytest.raises(ValueError):
+            f.eval_many(bad)
 
 
 # -- dilation ---------------------------------------------------------------------
