@@ -1,5 +1,8 @@
 """Reproducing kernels and the integral projection onto series form.
 
+Both kernels are sum_n q^n conj(w)^n c_n and differ only in the weights
+c_n: alpha^n / n! for the exponential kernel, 1 / ||q^n||^2 for the
+corrected one (``kernel_series(w, params, corrected=True)``).
 The exponential kernel pairs with the Gaussian measure to reproduce
 series on the (large-radius) plane; dividing by the measured Gram
 diagonal instead produces a kernel adapted to whatever domain is
@@ -19,11 +22,9 @@ from slicefock import (
     Quaternion,
     SliceSeries,
     build_grid,
-    corrected_kernel_eval,
-    corrected_kernel_series,
-    gram_table,
     inner_product,
     kernel_eval,
+    kernel_series,
     project_T,
     sample_on_grid,
 )
@@ -39,7 +40,7 @@ print("conj(kernel(w, q))     =", kernel_eval(w, q, plane).conjugate().to_text()
 disk = FockParams(domain="disk", degree=24)
 print("\non the unit disk the corrected kernel replaces factorial weights")
 print("with measured Gram entries; at w = 0 only the constant term is left:")
-print("corrected(q, 0) =", corrected_kernel_eval(q, Quaternion(), disk).to_text(),
+print("corrected(q, 0) =", kernel_eval(q, Quaternion(), disk, corrected=True).to_text(),
       " = 1/(1 - e^-1) =", 1.0 / (1.0 - math.exp(-1.0)))
 
 # Projection of sampled values back onto a series: on a large plane
@@ -63,7 +64,7 @@ print("unit disk, corrected kernel: |T(q^5) - q^5| = %.2e" % err)
 # kernel section under the Gaussian inner product returns its value.
 np_rng = np.random.default_rng(3)
 f = SliceSeries(np_rng.standard_normal((7, 4)))
-section = corrected_kernel_series(w, disk, gram_table(disk, gridd))
+section = kernel_series(w, disk, corrected=True)
 paired = inner_product(section, f, I, disk, gridd)
 print("\n<K(., w), f> =", paired.to_text())
 print("f(w)         =", f.eval(w).to_text())

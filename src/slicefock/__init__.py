@@ -32,23 +32,20 @@ from .series import (
     pointwise_star_residual,
     random_series,
     read_series,
-    star_exponential,
     write_series,
 )
 from .quadrature import PolarGrid, build_polar_grid, fibonacci_sphere, slice_sample
 from .fock import (
     FockParams,
-    GramTable,
     SupNorm,
     build_grid,
-    corrected_kernel_eval,
-    corrected_kernel_series,
     fock_norm,
     fock_norm_slice,
     fock_norm_sup,
     gram_table,
     inner_product,
     kernel_eval,
+    kernel_series,
     project_T,
     projection_series,
     sample_on_grid,
@@ -69,12 +66,11 @@ __all__ = [
     "AXIS_EPS", "I", "J", "K", "ONE", "ZERO", "Quaternion", "SliceCoords",
     "axis", "compose_basis", "decompose_basis", "orthogonal_unit", "slice_coords",
     "DEGREE_CAP", "SeriesFormatError", "SliceSeries", "SplitPair", "parse_series",
-    "pointwise_star_residual", "read_series", "star_exponential", "write_series",
+    "pointwise_star_residual", "read_series", "write_series",
     "PolarGrid", "build_polar_grid", "fibonacci_sphere", "slice_sample",
-    "FockParams", "GramTable", "SupNorm", "build_grid", "corrected_kernel_eval",
-    "corrected_kernel_series",
+    "FockParams", "SupNorm", "build_grid",
     "fock_norm", "fock_norm_slice", "fock_norm_sup", "gram_table", "inner_product",
-    "kernel_eval", "project_T", "projection_series", "sample_on_grid",
+    "kernel_eval", "kernel_series", "project_T", "projection_series", "sample_on_grid",
     "CheckResult", "RunConfig", "random_series", "render_csv", "render_json",
     "run_suite", "write_reports", "DEFAULT_CHECKS", "REGISTRY",
     "__version__",

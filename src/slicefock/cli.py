@@ -25,13 +25,7 @@ import argparse
 import sys
 
 from .checks import REGISTRY
-from .fock import (
-    corrected_kernel_eval,
-    fock_norm_slice,
-    fock_norm_sup,
-    gram_table,
-    kernel_eval,
-)
+from .fock import fock_norm_slice, fock_norm_sup, gram_table, kernel_eval
 from .harness import RunConfig, render_csv, render_json, run_suite, write_reports
 from .quaternions import I, Quaternion
 from .reference import monomial_gram_reference
@@ -168,7 +162,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     q = _parse_point(args.q, "kernel point q")
     w = _parse_point(args.w, "kernel point w")
     a = kernel_eval(q, w, params)
-    b = corrected_kernel_eval(q, w, params)
+    b = kernel_eval(q, w, params, corrected=True)
     print("kernel:     %s" % a.to_text())
     print("corrected:  %s" % b.to_text())
     print("abs-diff:   %.17g" % abs(a - b))
@@ -180,12 +174,12 @@ def _cmd_gram(args: argparse.Namespace) -> int:
         raise UsageError("--max-degree, the print limit (largest degree printed), must be "
                          "non-negative, got %d" % args.print_degree)
     params = _build_config(args)
-    table = gram_table(params)
+    diag = gram_table(params)
     top = min(params.degree, 16 if args.print_degree is None else args.print_degree)
     print("m   measured              reference             abs-err")
     for m in range(top + 1):
         ref = monomial_gram_reference(m, params.alpha, params.r_max)
-        print("%-3d %-21.15g %-21.15g %.3g" % (m, table.diag[m], ref, abs(table.diag[m] - ref)))
+        print("%-3d %-21.15g %-21.15g %.3g" % (m, diag[m], ref, abs(diag[m] - ref)))
     return 0
 
 

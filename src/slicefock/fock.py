@@ -2,14 +2,22 @@
 
 Implements the weighted p-norms per slice and their supremum over a
 deterministic sample of slices, the Gaussian-measure inner product, the
-monomial Gram diagonal, the exponential reproducing kernel and its
-domain-corrected variant, and the integral projection onto series form.
+monomial Gram diagonal, the reproducing kernel and the integral projection
+onto series form.
 
 Two domain modes are supported: the unit disk of each slice, and a
 radius-R truncation of the whole slice plane.  Monomial Gram values are
 incomplete-gamma numbers in the first mode and approach factorials in the
-second; the corrected kernel divides by the measured Gram diagonal so that
-it reproduces monomials on either domain by construction.
+second.
+
+The p = 2 space has the reproducing kernel K(q, w) = sum_n q^n conj(w)^n c_n
+with c_n = alpha^n / n!, the reciprocal of ||q^n||^2 on the whole plane
+(Alpay, Colombo, Sabadini and Salomon, The Fock space in the slice
+hyperholomorphic setting, 2014).  The domain-corrected kernel takes
+c_n = 1 / gamma_n from the measured Gram diagonal, so it reproduces
+monomials on either domain by construction.  ``_kernel_weights`` is the
+one definition of c_n behind ``kernel_series``, ``kernel_eval`` and
+``projection_series``.
 
 Slice norms go through the stem function F = F1 + i F2 of the series
 (Ghiloni and Perotti, Slice regular functions on real alternative algebras,
@@ -55,12 +63,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .quadrature import PolarGrid, build_polar_grid, slice_sample
-from .quaternions import Quaternion, check_unit_imaginary, from_frame, slice_frame, to_frame
-from .series import SliceSeries, star_exponential
+from .quaternions import ONE, Quaternion, check_unit_imaginary, from_frame, slice_frame, to_frame
+from .series import SliceSeries
 
 __all__ = [
     "FockParams",
-    "GramTable",
     "SupNorm",
     "build_grid",
     "slice_abs_sq",
@@ -71,9 +78,8 @@ __all__ = [
     "fock_norm_sup",
     "inner_product",
     "gram_table",
+    "kernel_series",
     "kernel_eval",
-    "corrected_kernel_eval",
-    "corrected_kernel_series",
     "projection_series",
     "project_T",
     "sample_on_grid",
@@ -379,76 +385,58 @@ def inner_product(f: SliceSeries, g: SliceSeries, u: Quaternion, params: FockPar
     return Quaternion.from_components(from_frame(a, b, split_f.frame))
 
 
-@dataclass(frozen=True)
-class GramTable:
-    """Squared Gaussian-measure norms of the monomials q^m, m = 0..degree."""
+def gram_table(params: FockParams, grid: Optional[PolarGrid] = None) -> np.ndarray:
+    """Monomial Gram diagonal ||q^m||^2, m = 0..degree, measured with the grid.
 
-    diag: np.ndarray
-    alpha: float
-    domain: str
-    r_max: float
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float).copy()
-        d.flags.writeable = False
-        object.__setattr__(self, "diag", d)
-
-
-def gram_table(params: FockParams, grid: Optional[PolarGrid] = None,
-               degree: Optional[int] = None) -> GramTable:
-    """Monomial Gram diagonal measured with the configured grid.
-
-    On the unit disk the entries match the incomplete-gamma values
-    gamma(m+1, alpha)/alpha^m; in plane mode they approach m!/alpha^m as
-    the truncation radius grows.
+    A read-only (degree + 1,) array.  On the unit disk the entries match the
+    incomplete-gamma values gamma(m+1, alpha)/alpha^m; in plane mode they
+    approach m!/alpha^m as the truncation radius grows.
     """
     if grid is None:
         grid = build_grid(params)
-    n = params.degree if degree is None else degree
     lam = grid.gaussian_weights(params.alpha)
     r_sq = np.abs(grid.z) ** 2
-    diag = np.empty(n + 1)
+    diag = np.empty(params.degree + 1)
     acc = lam.copy()
     diag[0] = acc.sum()
-    for m in range(1, n + 1):
+    for m in range(1, params.degree + 1):
         acc = acc * r_sq
         diag[m] = acc.sum()
-    return GramTable(diag, params.alpha, params.domain, grid.r_max)
+    diag.flags.writeable = False
+    return diag
 
 
-def kernel_eval(q: Quaternion, w: Quaternion, params: FockParams) -> Quaternion:
-    """Exponential reproducing kernel at (q, w), truncated at params.degree.
+def _kernel_weights(params: FockParams, grid: Optional[PolarGrid], corrected: bool) -> np.ndarray:
+    """Kernel weights c_n, n = 0..degree: alpha^n / n!, or 1 / gram_n if corrected."""
+    if corrected:
+        return 1.0 / gram_table(params, grid)
+    weights = np.empty(params.degree + 1)
+    acc = 1.0
+    for n in range(params.degree + 1):
+        weights[n] = acc
+        acc *= params.alpha / (n + 1)
+    return weights
 
-    The section in q is the series with coefficients (alpha conj(w))^n/n!,
-    left slice regular in q and right slice regular in w.
+
+def kernel_series(w: Quaternion, params: FockParams, *, corrected: bool = False) -> SliceSeries:
+    """Section q -> K(q, w) of the reproducing kernel: coefficients conj(w)^n c_n.
+
+    Left slice regular in q, right slice regular in w; truncated at params.degree.
     """
-    return star_exponential(w, params.alpha, params.degree).eval(q)
-
-
-def corrected_kernel_series(w: Quaternion, params: FockParams,
-                            gram: Optional[GramTable] = None) -> SliceSeries:
-    """Series form of the domain-adapted kernel: coefficients conj(w)^m / gram[m]."""
-    if gram is None:
-        gram = gram_table(params)
-    rows = np.zeros((params.degree + 1, 4))
-    acc = Quaternion.real(1.0)
+    weights = _kernel_weights(params, None, corrected)
+    rows = np.empty((params.degree + 1, 4))
     wbar = w.conjugate()
-    rows[0] = acc.as_array() / gram.diag[0]
-    for m in range(1, params.degree + 1):
+    acc = ONE
+    for n, weight in enumerate(weights):
+        rows[n] = acc.as_array() * weight
         acc = acc * wbar
-        rows[m] = acc.as_array() / gram.diag[m]
     return SliceSeries(rows)
 
 
-def corrected_kernel_eval(q: Quaternion, w: Quaternion, params: FockParams,
-                          gram: Optional[GramTable] = None) -> Quaternion:
-    """Domain-adapted kernel: sum_m q^m conj(w)^m / gram[m].
-
-    Dividing by the measured Gram diagonal instead of the factorial weight
-    makes monomial reproduction exact on the configured domain (and agrees
-    with the exponential kernel in the large-radius plane limit).
-    """
-    return corrected_kernel_series(w, params, gram).eval(q)
+def kernel_eval(q: Quaternion, w: Quaternion, params: FockParams, *,
+                corrected: bool = False) -> Quaternion:
+    """Reproducing kernel K(q, w) = sum_n q^n conj(w)^n c_n (``kernel_series``)."""
+    return kernel_series(w, params, corrected=corrected).eval(q)
 
 
 def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
@@ -458,14 +446,14 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
 
     Coefficient n of the result is
 
-        (alpha^n / n!) * integral conj(z)^n f(z) dlambda(z)
+        c_n * integral conj(z)^n f(z) dlambda(z)
 
-    against the Gaussian probability measure, which is the kernel paired on
-    the left of the samples; the kernel hermiticity B(q, w) = conj(B(w, q))
-    makes this the adjoint-consistent order, and it keeps the output a
-    genuine left series even for quaternion-valued samples.  With
-    ``corrected=True`` the factorial weight is replaced by the measured
-    Gram diagonal, making monomial reproduction exact on the domain.
+    against the Gaussian probability measure, with the kernel weights c_n
+    of ``kernel_series`` (alpha^n / n!, or 1 / gram_n with ``corrected=True``,
+    which makes monomial reproduction exact on the domain).  This is the
+    kernel paired on the left of the samples; the kernel hermiticity
+    K(q, w) = conj(K(w, q)) makes this the adjoint-consistent order, and it
+    keeps the output a genuine left series even for quaternion-valued samples.
     """
     if grid is None:
         grid = build_grid(params)
@@ -479,14 +467,7 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     c1, c2 = to_frame(s, frame)
     lam = grid.gaussian_weights(params.alpha)
     zbar = np.conj(grid.z)
-    if corrected:
-        scale = 1.0 / gram_table(params, grid).diag
-    else:
-        scale = np.empty(params.degree + 1)
-        acc_w = 1.0
-        for n in range(params.degree + 1):
-            scale[n] = acc_w
-            acc_w *= params.alpha / (n + 1)
+    scale = _kernel_weights(params, grid, corrected)
     w1 = c1 * lam
     w2 = c2 * lam
     pw = np.ones_like(zbar)

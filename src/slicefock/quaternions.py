@@ -397,6 +397,9 @@ def _components(x: np.ndarray) -> tuple:
 def hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product broadcast over leading axes of (..., 4) arrays."""
     a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
+        raise ValueError("hamilton operands must be (..., 4) arrays, got shapes %s and %s"
+                         % (a.shape, b.shape))
     out = np.empty(np.broadcast(a, b).shape[:-1] + (4,), dtype=np.result_type(a, b))
     _hamilton_rows(_components(a), _components(b), _components(out))
     return out

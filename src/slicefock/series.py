@@ -35,7 +35,6 @@ __all__ = [
     "SplitPair",
     "SeriesFormatError",
     "DEGREE_CAP",
-    "star_exponential",
     "random_series",
     "pointwise_star_residual",
     "read_series",
@@ -308,27 +307,6 @@ class SplitPair:
         return np.ascontiguousarray(mean.T)
 
 
-def star_exponential(w: Quaternion, alpha: float, degree: int) -> SliceSeries:
-    """Exponential-type kernel section: coefficients (alpha*conj(w))^n / n!.
-
-    Evaluating the result at q gives the degree-truncated sum of
-    q^n (alpha conj(w))^n / n!, the Gaussian reproducing kernel in its
-    series form.
-    """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    base = w.conjugate() * alpha
-    rows = np.zeros((degree + 1, 4))
-    acc = ONE
-    rows[0] = acc.as_array()
-    for n in range(1, degree + 1):
-        acc = acc * base / n
-        rows[n] = acc.as_array()
-    return SliceSeries(rows)
-
-
 def random_series(seed: Union[int, np.random.Generator], max_degree: int) -> SliceSeries:
     """Series of degree max_degree whose coefficient components are independent
     standard normals from numpy.random.default_rng(seed) (or the generator
@@ -387,6 +365,10 @@ def parse_series(text: str) -> SliceSeries:
         raise SeriesFormatError(1, "bad truncation degree in header %r" % header) from None
     if deg < 0:
         raise SeriesFormatError(1, "negative truncation degree %d" % deg)
+    if deg + 1 > len(lines) - 1:
+        # checked before the coefficient array is allocated
+        raise SeriesFormatError(1, "missing degrees: N=%d needs %d coefficient lines, %d follow"
+                                % (deg, deg + 1, len(lines) - 1))
     coeffs = np.zeros((deg + 1, 4))
     seen = set()
     row = 0

@@ -44,6 +44,16 @@ def test_eval_malformed_line_exits_2(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_eval_header_degree_beyond_the_file_exits_2(tmp_path, capsys):
+    # a (10^15 + 1, 4) coefficient array would not fit in memory: the
+    # header is rejected before anything is allocated
+    path = tmp_path / "huge.series"
+    path.write_text("slice-series v1 N=1000000000000000\n0 1 0 0 0\n")
+    assert main(["eval", str(path), "--at", "0 0 0 0"]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "missing degrees" in err
+
+
 def test_eval_missing_file_exits_3(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "absent.series"), "--at", "0 0 0 0"]) == 3
 

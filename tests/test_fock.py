@@ -14,19 +14,17 @@ from slicefock import (
     Quaternion,
     SliceSeries,
     build_grid,
-    corrected_kernel_eval,
-    corrected_kernel_series,
     fock_norm,
     fock_norm_slice,
     fock_norm_sup,
     gram_table,
     inner_product,
     kernel_eval,
+    kernel_series,
     project_T,
     projection_series,
     sample_on_grid,
     slice_sample,
-    star_exponential,
 )
 from slicefock.fock import _power, slice_abs_sq, slice_norms, stem_norms
 from slicefock.quaternions import random_unit_imaginary, slice_frame
@@ -38,8 +36,11 @@ from conftest import ball_point, make_series
 # -- parameter validation -------------------------------------------------------
 
 def test_params_validation():
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            FockParams(alpha=alpha)
     with pytest.raises(ValueError):
-        FockParams(alpha=0.0)
+        FockParams(degree=-2)
     with pytest.raises(ValueError):
         FockParams(p=1.0)
     with pytest.raises(ValueError):
@@ -278,8 +279,7 @@ def test_stem_norms_p2_linear_form_matches_rows_and_closed_form(domain, rng):
     grid = build_grid(params)
     axes = slice_sample(params.n_slices)
     pairs = _norm_case_pairs((2.0,))
-    gammas = {a: gram_table(FockParams(alpha=a, domain=domain), grid, degree=32).diag
-              for a in (0.5, 1.0, 2.0)}
+    gammas = {a: gram_table(FockParams(alpha=a, domain=domain), grid) for a in (0.5, 1.0, 2.0)}
     for degree in range(33):
         f = make_series(rng, degree)
         got = stem_norms(f, axes, grid, pairs)
@@ -340,10 +340,10 @@ def test_monomials_are_orthogonal(fast_params):
 
 def test_gram_entry_examples():
     params = FockParams()
-    diag = gram_table(params).diag
+    diag = gram_table(params)
     assert abs(diag[0] - (1.0 - math.exp(-1.0))) <= 1e-12
     plane = FockParams(domain="plane", radius=8.0, n_r=96)
-    diag_plane = gram_table(plane).diag
+    diag_plane = gram_table(plane)
     assert abs(diag_plane[1] - 1.0) <= 1e-9     # 1!/alpha at alpha = 1
     ip = inner_product(SliceSeries.monomial(3), SliceSeries.monomial(3), I, params)
     assert abs(ip.x0 - monomial_gram_reference(3, 1.0, 1.0)) <= 1e-10
@@ -371,7 +371,64 @@ def test_inner_product_consistent_with_p2_norm(rng, fast_params):
     assert abs(ip.x0 - n * n) <= 1e-10 * (1.0 + n * n)
 
 
+def test_gram_table_is_a_read_only_diagonal():
+    params = FockParams(degree=5, n_r=16, n_theta=32)
+    diag = gram_table(params)
+    assert isinstance(diag, np.ndarray)
+    assert diag.shape == (params.degree + 1,)
+    assert not diag.flags.writeable
+    with pytest.raises(ValueError):
+        diag[0] = 1.0
+
+
 # -- kernels ---------------------------------------------------------------------
+
+def test_kernel_series_at_zero_weight():
+    f = kernel_series(Quaternion(), FockParams(alpha=1.0, degree=10))
+    assert f.coefficient(0) == ONE
+    assert np.abs(f.coeffs[1:]).max() == 0.0
+
+
+def test_kernel_series_real_case():
+    w = Quaternion.real(0.8)
+    f = kernel_series(w, FockParams(alpha=1.3, degree=30))
+    x = 0.9
+    val = f.eval(Quaternion.real(x))
+    assert abs(val.x0 - math.exp(1.3 * x * 0.8)) < 1e-12
+    assert abs(val.imag) == 0.0
+
+
+def test_kernel_series_termwise_oracle():
+    # direct power-sum accumulation, independent of Horner
+    w, q, alpha, deg = J, I, 1.0, 20
+    f = kernel_series(w, FockParams(alpha=alpha, degree=deg))
+    total = Quaternion()
+    qn = ONE
+    base = w.conjugate() * alpha
+    bn = ONE
+    fact = 1.0
+    for n in range(deg + 1):
+        if n > 0:
+            qn = qn * q
+            bn = bn * base
+            fact *= n
+        total = total + qn * bn / fact
+    assert abs(f.eval(q) - total) < 1e-13
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_kernel_series_corrected_rows_are_conj_powers_over_gram(domain, rng):
+    params = FockParams(domain=domain, degree=20, n_r=32, n_theta=64)
+    diag = gram_table(params)
+    for _ in range(5):
+        w = ball_point(rng)
+        rows = kernel_series(w, params, corrected=True).coeffs
+        power = ONE
+        for n in range(params.degree + 1):
+            want = power.as_array() / diag[n]
+            assert np.max(np.abs(rows[n] - want)) <= 1e-15 * np.max(np.abs(want))
+            power = power * w.conjugate()
+
 
 def test_kernel_at_zero_weight():
     params = FockParams()
@@ -401,17 +458,16 @@ def test_kernel_hermitian_symmetry(rng):
 
 def test_corrected_kernel_at_zero_weight():
     params = FockParams()
-    val = corrected_kernel_eval(Quaternion(0.3, 0.1, 0, 0), Quaternion(), params)
+    val = kernel_eval(Quaternion(0.3, 0.1, 0, 0), Quaternion(), params, corrected=True)
     assert abs(val - Quaternion.real(1.0 / (1.0 - math.exp(-1.0)))) < 1e-12
 
 
 def test_corrected_kernel_symmetry(rng):
     params = FockParams(degree=20)
-    gram = gram_table(params)
     for _ in range(10):
         q, w = ball_point(rng), ball_point(rng)
-        lhs = corrected_kernel_eval(q, w, params, gram)
-        rhs = corrected_kernel_eval(w, q, params, gram).conjugate()
+        lhs = kernel_eval(q, w, params, corrected=True)
+        rhs = kernel_eval(w, q, params, corrected=True).conjugate()
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
@@ -419,7 +475,7 @@ def test_corrected_kernel_approaches_exponential_kernel_in_plane_limit(rng):
     params = FockParams(domain="plane", radius=8.0, degree=24, n_r=96)
     for _ in range(5):
         q, w = ball_point(rng), ball_point(rng)
-        a = corrected_kernel_eval(q, w, params)
+        a = kernel_eval(q, w, params, corrected=True)
         b = kernel_eval(q, w, params)
         assert abs(a - b) <= 1e-8
 
@@ -430,11 +486,10 @@ def test_corrected_kernel_reproduces_under_inner_product(rng):
     # the kernel divides by the same Gram weights the measure produces
     params = FockParams(domain="disk", degree=16)
     grid = build_grid(params)
-    gram = gram_table(params, grid)
     for _ in range(10):
         f = make_series(rng, int(rng.integers(0, 9)))
         w = ball_point(rng)
-        section = corrected_kernel_series(w, params, gram)
+        section = kernel_series(w, params, corrected=True)
         val = inner_product(section, f, I, params, grid)
         assert abs(val - f.eval(w)) <= 1e-10 * (1.0 + abs(f.eval(w)))
 
@@ -446,7 +501,7 @@ def test_exponential_kernel_reproduces_under_inner_product(rng):
     for _ in range(5):
         f = make_series(rng, 6)
         w = ball_point(rng)
-        section = star_exponential(w, params.alpha, params.degree)
+        section = kernel_series(w, params)
         val = inner_product(section, f, I, params, grid)
         assert abs(val - f.eval(w)) <= 1e-6
 

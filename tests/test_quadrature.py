@@ -134,20 +134,20 @@ def test_grid_weights_are_positive_and_immutable():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_gram_diag_matches_incomplete_gamma(alpha):
     params = FockParams(alpha=alpha, degree=12)
-    diag = gram_table(params).diag
+    diag = gram_table(params)
     for m in range(13):
         assert abs(diag[m] - monomial_gram_reference(m, alpha, 1.0)) <= 1e-9
 
 
 def test_gram_diag_plane_limit_is_factorial():
     params = FockParams(alpha=1.0, domain="plane", radius=8.0, degree=8, n_r=96)
-    diag = gram_table(params).diag
+    diag = gram_table(params)
     for m in range(9):
         assert abs(diag[m] - math.factorial(m)) <= 1e-7 * math.factorial(m) + 1e-10
 
 
 def test_gram_diag_positive_and_monotone_decay_on_disk():
-    diag = gram_table(FockParams(degree=16)).diag
+    diag = gram_table(FockParams(degree=16))
     assert np.all(diag > 0)
     assert np.all(np.diff(diag) < 0)  # unit-disk moments decrease in m
 

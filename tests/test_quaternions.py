@@ -279,6 +279,13 @@ def test_hamilton_matches_scalar(rng):
         assert np.allclose(out[k], (qa * qb).as_array(), atol=1e-14)
 
 
+def test_hamilton_rejects_a_trailing_axis_other_than_4():
+    for a, b in ((np.ones((3, 5)), np.ones((3, 5))), (np.ones((3, 4)), np.ones((3, 3))),
+                 (np.ones(4), np.ones((4, 1)))):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 4\)"):
+            hamilton(a, b)
+
+
 BIT_SIZES = (0, 1, 7, 20_000)
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import io
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from slicefock import (
     SliceSeries,
     parse_series,
     pointwise_star_residual,
-    star_exponential,
     write_series,
 )
 from slicefock.quaternions import random_unit_imaginary
@@ -409,48 +407,6 @@ def test_dilate_matches_scaled_argument(rng):
     r = 0.73
     q = ball_point(rng)
     assert abs(f.dilate(r).eval(q) - f.eval(q * r)) < 1e-12
-
-
-# -- exponential series ------------------------------------------------------------
-
-def test_star_exponential_at_zero_weight():
-    f = star_exponential(Quaternion(), 1.0, 10)
-    assert f.coefficient(0) == ONE
-    assert np.abs(f.coeffs[1:]).max() == 0.0
-
-
-def test_star_exponential_real_case():
-    w = Quaternion.real(0.8)
-    f = star_exponential(w, 1.3, 30)
-    x = 0.9
-    val = f.eval(Quaternion.real(x))
-    assert abs(val.x0 - math.exp(1.3 * x * 0.8)) < 1e-12
-    assert abs(val.imag) == 0.0
-
-
-def test_star_exponential_termwise_oracle():
-    # direct power-sum accumulation, independent of Horner
-    w, q, alpha, deg = J, I, 1.0, 20
-    f = star_exponential(w, alpha, deg)
-    total = Quaternion()
-    qn = ONE
-    base = w.conjugate() * alpha
-    bn = ONE
-    fact = 1.0
-    for n in range(deg + 1):
-        if n > 0:
-            qn = qn * q
-            bn = bn * base
-            fact *= n
-        total = total + qn * bn / fact
-    assert abs(f.eval(q) - total) < 1e-13
-
-
-def test_star_exponential_validates():
-    with pytest.raises(ValueError):
-        star_exponential(ONE, -1.0, 4)
-    with pytest.raises(ValueError):
-        star_exponential(ONE, 1.0, -2)
 
 
 # -- text format --------------------------------------------------------------------
