@@ -30,6 +30,7 @@ import numpy as np
 from . import reference
 from .fock import (
     build_grid,
+    fock_norm,
     gram_table,
     inner_product,
     projection_series,
@@ -240,11 +241,6 @@ def _slice_norm_matrix(f: SliceSeries, slices, grid, pairs) -> dict:
     return slice_norms(slice_abs_sq(f, slices, grid), grid, pairs)
 
 
-def _slice_axes(n_slices: int) -> np.ndarray:
-    """The deterministic slice sample as an (m, 4) component array."""
-    return np.array([u.as_array() for u in slice_sample(n_slices)])
-
-
 def _check_norm_sandwich(config) -> CheckResult:
     rng = _rng_for(config, "norm-sandwich")
     grid = build_grid(config)
@@ -278,7 +274,7 @@ def _growth_data(config):
         return _GROWTH_CACHE[key]
     rng = _rng_for(config, "growth")
     grid = build_grid(replace(config, p=2.0, domain="plane"))
-    slices = _slice_axes(config.n_slices)
+    slices = slice_sample(config.n_slices)
     ps = (4.0 / 3.0, 2.0, 3.0)
     pairs = [(p, config.alpha) for p in ps]
     rows = []
@@ -319,7 +315,7 @@ def _check_growth_bound(config) -> CheckResult:
 def _check_embedding(config) -> CheckResult:
     rng = _rng_for(config, "embedding")
     grid = build_grid(replace(config, p=2.0, domain="plane"))
-    slices = _slice_axes(config.n_slices)
+    slices = slice_sample(config.n_slices)
     conjugate_pairs = ((4.0 / 3.0, 4.0), (1.5, 3.0), (2.0, 2.0))
     p_values = sorted({p for pu in conjugate_pairs for p in pu})
     pa = [(p, config.alpha) for p in p_values]
@@ -341,18 +337,13 @@ def _check_embedding(config) -> CheckResult:
 def _check_dilation(config) -> CheckResult:
     rng = _rng_for(config, "dilation")
     grid = build_grid(config)
-    slices = _slice_axes(config.n_slices)
-    pairs = [(config.p, config.alpha)]
     radii = (0.9, 0.99, 0.999)
     errors = []
     monotone = True
     for _ in range(50):
         f = random_series(rng, 10)
-        base = float(stem_norms(f, slices, grid, pairs)[pairs[0]].max())
-        tails = []
-        for r in radii:
-            diff = f.dilate(r) - f
-            tails.append(float(stem_norms(diff, slices, grid, pairs)[pairs[0]].max()))
+        base = fock_norm(f, config, grid)
+        tails = [fock_norm(f.dilate(r) - f, config, grid) for r in radii]
         monotone = monotone and all(b <= a * (1.0 + 1e-12) for a, b in zip(tails, tails[1:]))
         errors.append((tails[-1] / base) ** config.p)
     return _outcome(np.max(errors), 1e-3, also=monotone,
@@ -382,13 +373,8 @@ def _check_hermiticity(config) -> CheckResult:
 def _check_poly_density(config) -> CheckResult:
     rng = _rng_for(config, "poly-density")
     grid = build_grid(config)
-    slices = _slice_axes(config.n_slices)
-    pairs = [(config.p, config.alpha)]
     f = random_series(rng, 20)
-    tails = []
-    for m in range(21):
-        diff = f - f.truncate(m)
-        tails.append(float(stem_norms(diff, slices, grid, pairs)[pairs[0]].max()))
+    tails = [fock_norm(f - f.truncate(m), config, grid) for m in range(21)]
     monotone = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(tails, tails[1:]))
     return _outcome(tails[-1], 1e-6, also=monotone,
                     note="tail norms are nonincreasing" if monotone

@@ -64,7 +64,7 @@ import numpy as np
 
 from .quadrature import PolarGrid, build_polar_grid, slice_sample
 from .quaternions import ONE, Quaternion, check_unit_imaginary, from_frame, slice_frame, to_frame
-from .series import SliceSeries
+from .series import SliceSeries, _horner
 
 __all__ = [
     "FockParams",
@@ -161,13 +161,7 @@ def _stem_terms(f: SliceSeries, grid: PolarGrid):
     One complex Horner sweep of the four coefficient components gives the
     stem function F1 + i F2; A has shape (n,) and B shape (3, n).
     """
-    c = f.coeffs
-    z = grid.z
-    acc = np.empty((4, z.size), dtype=complex)
-    acc[:] = c[-1][:, None]
-    for n in range(f.degree - 1, -1, -1):
-        acc *= z
-        acc += c[n][:, None]
+    acc = _horner(f.coeffs, grid.z)
     s, v1, v2, v3 = acc.real
     t, w1, w2, w3 = acc.imag
     a = s * s + v1 * v1 + v2 * v2 + v3 * v3 + t * t + w1 * w1 + w2 * w2 + w3 * w3
@@ -200,13 +194,10 @@ def _slice_rows(a: np.ndarray, b2: np.ndarray, axes: np.ndarray) -> np.ndarray:
 def _axis_rows(u) -> np.ndarray:
     """Imaginary parts, shape (m, 3), of slice axes checked in one pass.
 
-    ``u`` is one unit imaginary, a sequence of them, or an (m, 4) array of
-    their components.
+    ``u`` is one unit imaginary or an (..., 4) array of their components,
+    such as the slice sample of ``quadrature.slice_sample``.
     """
-    units = [u] if isinstance(u, Quaternion) else u
-    if not isinstance(units, np.ndarray):
-        units = [x.as_array() for x in units]
-    comps = np.asarray(units, dtype=float).reshape(-1, 4)
+    comps = np.reshape(u.as_array() if isinstance(u, Quaternion) else u, (-1, 4))
     check_unit_imaginary(comps)
     return comps[:, 1:]
 
@@ -214,8 +205,8 @@ def _axis_rows(u) -> np.ndarray:
 def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
     """|f|^2 at the grid nodes of the slice of u.
 
-    ``u`` is one unit imaginary (result shape (n,)) or a sequence of them
-    (result shape (len(u), n), one row per axis).  Every row comes from the
+    ``u`` is one unit imaginary (result shape (n,)) or an (m, 4) array of
+    them (result shape (m, n), one row per axis).  Every row comes from the
     same stem-function sweep of f: |f|^2 = A + 2 u.B (module docstring).
     """
     a, b = _stem_terms(f, grid)
@@ -295,11 +286,11 @@ def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
 def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
     """Weighted p-norms of f on the slice of each axis, for every (p, alpha) pair.
 
-    ``axes`` is a sequence of unit imaginaries or an (m, 4) array of their
-    components; each result has shape (m,).  One stem sweep of f serves
-    every axis and exponent.  At p = 2 the ring sums are linear in u,
-    sum A + 2 u.sum B, so no row is filled; other exponents fill |f|^2 rows
-    a block at a time, and no (m, nodes) stack is built.
+    ``axes`` is one unit imaginary or an (m, 4) array of them; each result
+    has shape (m,).  One stem sweep of f serves every axis and exponent.
+    At p = 2 the ring sums are linear in u, sum A + 2 u.sum B, so no row is
+    filled; other exponents fill |f|^2 rows a block at a time, and no
+    (m, nodes) stack is built.
     """
     units = _axis_rows(axes)
     a, b = _stem_terms(f, grid)
@@ -332,7 +323,7 @@ def fock_norm_slice(f: SliceSeries, u: Quaternion, params: FockParams,
     if grid is None:
         grid = build_grid(params)
     pair = (params.p, params.alpha)
-    return float(stem_norms(f, [u], grid, [pair])[pair][0])
+    return float(stem_norms(f, u, grid, [pair])[pair][0])
 
 
 class SupNorm(NamedTuple):
@@ -357,7 +348,7 @@ def fock_norm_sup(f: SliceSeries, params: FockParams,
     pair = (params.p, params.alpha)
     norms = stem_norms(f, axes, grid, [pair])[pair]
     best = int(np.argmax(norms))
-    return SupNorm(float(norms[best]), axes[best])
+    return SupNorm(float(norms[best]), Quaternion.from_components(axes[best]))
 
 
 def fock_norm(f: SliceSeries, params: FockParams,
@@ -422,12 +413,16 @@ def kernel_series(w: Quaternion, params: FockParams, *, corrected: bool = False)
     """Section q -> K(q, w) of the reproducing kernel: coefficients conj(w)^n c_n.
 
     Left slice regular in q, right slice regular in w; truncated at params.degree.
+    The rows from the first underflowed weight on stay 0, so a power of w
+    that overflows is never multiplied by a zero weight into NaN.
     """
     weights = _kernel_weights(params, None, corrected)
-    rows = np.empty((params.degree + 1, 4))
+    rows = np.zeros((params.degree + 1, 4))
     wbar = w.conjugate()
     acc = ONE
     for n, weight in enumerate(weights):
+        if weight == 0.0:
+            break
         rows[n] = acc.as_array() * weight
         acc = acc * wbar
     return SliceSeries(rows)

@@ -52,6 +52,8 @@ class RunConfig(FockParams):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_series < 1:
             raise ValueError("n_series must be positive")
         if self.max_degree < 0:

@@ -5,6 +5,11 @@ the polar Jacobian folded into the weights) and equispaced angles with the
 trapezoid rule, which is exact for trigonometric polynomials of degree
 below the angle count.  Weights carry the plain Lebesgue area element;
 Gaussian-measure weights are derived on demand.
+
+The slice sample is the one format of the sphere of unit imaginaries that
+the norm code reads: a cached, read-only (m, 4) array of quaternion
+components, one slice axis per row.  Grids and samples are both cached by
+their arguments, since they are immutable and reused by every norm call.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .quaternions import I, J, K, Quaternion
 
 __all__ = ["PolarGrid", "build_polar_grid", "fibonacci_sphere", "slice_sample"]
 
@@ -56,8 +59,8 @@ def build_polar_grid(n_r: int, n_theta: int, r_max: float) -> PolarGrid:
     """
     if n_r < 4 or n_theta < 4:
         raise ValueError("need at least 4 radial and 4 angular nodes")
-    if r_max <= 0:
-        raise ValueError("grid radius must be positive")
+    if not 0 < r_max < math.inf:
+        raise ValueError("grid radius must be positive and finite")
     x, w = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * r_max * (x + 1.0)
     wr = 0.5 * r_max * w * r            # polar Jacobian r dr
@@ -86,10 +89,13 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return pts
 
 
-def slice_sample(n_slices: int) -> list[Quaternion]:
-    """Deterministic sample of unit imaginaries: Fibonacci lattice plus the
-    three coordinate axes (always included so canonical slices are exact)."""
-    pts = fibonacci_sphere(n_slices)
-    units = [Quaternion(0.0, p[0], p[1], p[2]) for p in pts]
-    units.extend([I, J, K])
+@functools.lru_cache(maxsize=16)
+def slice_sample(n_slices: int) -> np.ndarray:
+    """Deterministic sample of unit imaginaries as a read-only (n_slices + 3, 4)
+    component array: the Fibonacci lattice, then the axes i, j, k (always
+    included so canonical slices are exact).  Cached like ``build_polar_grid``."""
+    units = np.zeros((n_slices + 3, 4))
+    units[:n_slices, 1:] = fibonacci_sphere(n_slices)
+    units[n_slices:, 1:] = np.eye(3)
+    units.flags.writeable = False
     return units

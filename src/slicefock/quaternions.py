@@ -234,13 +234,9 @@ def check_unit_imaginary(u) -> None:
     ``u`` may also be an (..., 4) component array, checked row by row in
     one vectorized pass.  The comparisons are written so that NaN fails them.
     """
-    if isinstance(u, Quaternion):
-        bad = not (abs(u.x0) <= 1e-9 and abs(u.norm_sq - 1.0) <= 1e-9)
-    else:
-        c = np.asarray(u, dtype=float)
-        bad = not (np.all(np.abs(c[..., 0]) <= 1e-9)
-                   and np.all(np.abs(np.sum(c * c, axis=-1) - 1.0) <= 1e-9))
-    if bad:
+    c = np.asarray(u.as_array() if isinstance(u, Quaternion) else u, dtype=float)
+    if not (np.all(np.abs(c[..., 0]) <= 1e-9)
+            and np.all(np.abs(np.sum(c * c, axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("slice axis must be a unit imaginary quaternion")
 
 

@@ -61,6 +61,22 @@ class SeriesFormatError(ValueError):
         self.line = line
 
 
+def _horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """sum_n z^n coeffs[n] as complex rows of shape (k, *z.shape), by Horner.
+
+    ``coeffs`` is a (degree + 1, k) real or complex array.  The result is
+    the one accumulator, multiplied and added in place at every step.
+    """
+    z = np.asarray(z, dtype=complex)
+    acc = np.empty((coeffs.shape[1],) + z.shape, dtype=complex)
+    rows = (slice(None),) + (None,) * z.ndim
+    acc[:] = coeffs[-1][rows]
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c[rows]
+    return acc
+
+
 @dataclass(frozen=True)
 class SliceSeries:
     """Immutable truncated series with quaternion coefficients.
@@ -264,13 +280,7 @@ class SplitPair:
 
     def eval_components(self, z):
         """Evaluate both complex series at z (scalar or array), by Horner."""
-        z = np.asarray(z, dtype=complex)
-        f1 = np.full_like(z, self.c1[-1])
-        f2 = np.full_like(z, self.c2[-1])
-        for n in range(self.degree - 1, -1, -1):
-            f1 = f1 * z + self.c1[n]
-            f2 = f2 * z + self.c2[n]
-        return f1, f2
+        return tuple(_horner(np.stack([self.c1, self.c2], axis=1), z))
 
     def extend(self, q: Quaternion) -> Quaternion:
         """Slice-regular extension evaluated at one quaternion (see extend_many)."""

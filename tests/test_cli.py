@@ -229,6 +229,7 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys):
     ("--format", "xml", "format must be 'json' or 'csv'"),
     ("--slices", "3", "n_slices >= 8"),
     ("--quad-theta", "100000000", "exceeds the cap"),
+    ("--seed", "-1", "seed must be non-negative"),
 ])
 def test_invalid_setting_exits_2_with_the_config_message(flag, value, message, capsys):
     assert main(["verify", flag, value, "--checks", "quad-calibration"]) == 2

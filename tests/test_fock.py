@@ -157,12 +157,14 @@ def _reference_norm(abs_sq, grid, alpha, p):
 def test_stacked_fill_matches_split_fill(domain, rng):
     params = FockParams(domain=domain, n_r=16, n_theta=64, n_slices=8)
     grid = build_grid(params)
-    axes = slice_sample(params.n_slices) + [random_unit_imaginary(rng) for _ in range(4)]
+    extra = [random_unit_imaginary(rng).as_array() for _ in range(4)]
+    axes = np.concatenate([slice_sample(params.n_slices), extra])
     for degree in range(33):
         f = make_series(rng, degree)
         stacked = slice_abs_sq(f, axes, grid)
         assert stacked.shape == (len(axes), grid.size)
-        for row, u in zip(stacked, axes):
+        for row, comps in zip(stacked, axes):
+            u = Quaternion.from_components(comps)
             want = _split_abs_sq(f, u, grid)
             assert np.abs(row - want).max() <= 1e-13 * want.max()
             assert np.array_equal(slice_abs_sq(f, u, grid), row)
@@ -172,12 +174,13 @@ def test_fill_rejects_non_unit_axis(rng):
     grid = build_grid(FockParams(n_r=8, n_theta=8))
     f = make_series(rng, 2)
     for bad in (Quaternion(0, 2, 0, 0), Quaternion(1, 0, 0, 0)):
+        pair = np.array([I.as_array(), bad.as_array()])
         with pytest.raises(ValueError, match="unit imaginary"):
             slice_abs_sq(f, bad, grid)
         with pytest.raises(ValueError, match="unit imaginary"):
-            slice_abs_sq(f, [I, bad], grid)
+            slice_abs_sq(f, pair, grid)
         with pytest.raises(ValueError, match="unit imaginary"):
-            stem_norms(f, [I, bad], grid, [(2.0, 1.0)])
+            stem_norms(f, pair, grid, [(2.0, 1.0)])
 
 
 @pytest.mark.parametrize("bad", [Quaternion(math.nan, 1, 0, 0), Quaternion(0, math.nan, 0, 0),
@@ -204,10 +207,12 @@ def test_sup_norm_is_the_largest_sampled_slice_norm(domain, rng):
         for degree in (0, 1, 5, 10):
             f = make_series(rng, degree)
             sup = fock_norm_sup(f, params, grid)
-            norms = [fock_norm_slice(f, u, params, grid) for u in axes]
+            norms = [fock_norm_slice(f, Quaternion.from_components(u), params, grid)
+                     for u in axes]
             assert sup.value == max(norms)
             assert fock_norm_slice(f, sup.axis, params, grid) == sup.value
-            assert sup.axis in axes
+            assert isinstance(sup.axis, Quaternion)
+            assert np.all(axes == sup.axis.as_array(), axis=1).any()
 
 
 @pytest.mark.parametrize("p", [4.0 / 3.0, 3.0])
@@ -311,8 +316,9 @@ def test_stem_norms_single_axis_is_its_row(p, rng):
     f = make_series(rng, 10)
     full = stem_norms(f, axes, grid, [pair])[pair]
     for k in (0, 7, 8, 41, 66):
-        assert stem_norms(f, [axes[k]], grid, [pair])[pair][0] == full[k]
-    comps = np.array([u.as_array() for u in axes])
+        u = Quaternion.from_components(axes[k])
+        assert stem_norms(f, u, grid, [pair])[pair][0] == full[k]
+    comps = np.array(axes)
     assert np.array_equal(stem_norms(f, comps, grid, [pair])[pair], full)
 
 
@@ -428,6 +434,20 @@ def test_kernel_series_corrected_rows_are_conj_powers_over_gram(domain, rng):
             want = power.as_array() / diag[n]
             assert np.max(np.abs(rows[n] - want)) <= 1e-15 * np.max(np.abs(want))
             power = power * w.conjugate()
+
+
+def test_kernel_series_stops_at_the_first_underflowed_weight():
+    # 1/n! underflows to 0 at n = 178 while 3^n overflows at n = 647; the
+    # rows from the first zero weight on stay 0 instead of becoming inf * 0
+    params = FockParams(domain="plane", degree=700)
+    w = Quaternion.real(3.0)
+    rows = kernel_series(w, params).coeffs
+    assert np.all(np.isfinite(rows))
+    nonzero = np.flatnonzero(rows[:, 0])
+    assert nonzero[-1] < 200 and np.all(rows[nonzero[-1] + 1:] == 0.0)
+    val = kernel_eval(Quaternion.real(0.5), w, params)
+    assert abs(val.x0 - math.exp(1.5)) <= 2 * math.ulp(math.exp(1.5))
+    assert val.imag == Quaternion()
 
 
 def test_kernel_at_zero_weight():

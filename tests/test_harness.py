@@ -142,6 +142,8 @@ def test_runconfig_validates_params_and_run_fields():
         RunConfig(n_slices=3)
     with pytest.raises(ValueError, match="n_series"):
         RunConfig(n_series=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        RunConfig(seed=-1)
     with pytest.raises(ValueError, match="format"):
         RunConfig(fmt="xml")
     with pytest.raises(ValueError, match="unknown check id"):

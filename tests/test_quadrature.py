@@ -11,6 +11,7 @@ from slicefock import (
     I,
     J,
     K,
+    Quaternion,
     build_grid,
     build_polar_grid,
     fibonacci_sphere,
@@ -24,6 +25,8 @@ from slicefock.reference import (
     monomial_gram_reference,
     monomial_norm_reference,
 )
+
+from conftest import assert_bit_identical
 
 
 # -- the slow reference integrals are validated against scipy ----------------
@@ -110,6 +113,9 @@ def test_grid_validation_and_cache():
         build_polar_grid(8, 2, 1.0)
     with pytest.raises(ValueError):
         build_polar_grid(8, 8, 0.0)
+    for r_max in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            build_polar_grid(8, 8, r_max)
     assert build_polar_grid(8, 8, 1.0) is build_polar_grid(8, 8, 1.0)
 
 
@@ -178,10 +184,24 @@ def test_fibonacci_sphere_covers_both_hemispheres():
 def test_slice_sample_includes_axes():
     units = slice_sample(16)
     assert len(units) == 19
-    assert I in units and J in units and K in units
+    for axis in (I, J, K):
+        assert np.all(units == axis.as_array(), axis=1).any()
     for u in units:
-        assert abs(abs(u) - 1.0) < 1e-12
-        assert u.x0 == 0.0
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+        assert u[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_slice_sample_is_a_cached_read_only_component_array(n):
+    # the rows the sample had as a list of Quaternions, bit for bit
+    units = slice_sample(n)
+    want = [Quaternion(0.0, *p).as_array() for p in fibonacci_sphere(n)]
+    want += [I.as_array(), J.as_array(), K.as_array()]
+    assert isinstance(units, np.ndarray) and units.shape == (n + 3, 4)
+    assert_bit_identical(units, np.array(want))
+    assert slice_sample(n) is units
+    with pytest.raises(ValueError):
+        units[0, 1] = 0.0
 
 
 def test_build_grid_respects_domain():

@@ -371,6 +371,31 @@ def test_eval_and_extend_many_bit_identical_to_stack_formula(degree, m, rng):
         assert_bit_identical(pair.extend_many(x), extend_stack(pair, x))
 
 
+def horner_loop(pair, z):
+    """eval_components as the allocating loop f = f * z + c of each complex series."""
+    z = np.asarray(z, dtype=complex)
+    f1 = np.full_like(z, pair.c1[-1])
+    f2 = np.full_like(z, pair.c2[-1])
+    for n in range(pair.degree - 1, -1, -1):
+        f1 = f1 * z + pair.c1[n]
+        f2 = f2 * z + pair.c2[n]
+    return f1, f2
+
+
+@pytest.mark.parametrize("degree", (0, 1, 10, 32))
+def test_eval_components_bit_identical_to_allocating_horner(degree, rng):
+    pair = SliceSeries(with_signed_zeros(rng, (degree + 1, 4))).split(random_unit_imaginary(rng))
+    z = np.empty(600, dtype=complex)
+    z.real = with_signed_zeros(rng, 600)
+    z.imag = with_signed_zeros(rng, 600)
+    for x in (z, z[::3], z.reshape(20, 30), z[7], np.asarray(z[8]), 0.5 - 0.25j):
+        got = pair.eval_components(x)
+        want = horner_loop(pair, x)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert_bit_identical(g, w)
+
+
 def test_eval_many_shape_contract(rng):
     f = make_series(rng, 6)
     for shape in ((4,), (0, 4), (2, 3, 4)):
