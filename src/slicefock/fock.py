@@ -28,8 +28,11 @@ Adv. Math. 226 (2011)).  With z = x + iy every power splits as
     F1 = sum_n Re(z^n) a_n,   F2 = sum_n Im(z^n) a_n,
 
 and one complex Horner sweep of the four real coefficient components gives
-F1 + i F2 for every slice at once.  Writing F1 = (s, v) and F2 = (t, w) in
-real and vector parts, the squared modulus on the slice of u is affine in u:
+F1 + i F2 for every slice at once.  ``SliceSeries.eval_many`` evaluates at
+arbitrary points by the same identity, with u the unit axis and y the
+length of each point's imaginary part.  Writing F1 = (s, v) and
+F2 = (t, w) in real and vector parts, the squared modulus on the slice of
+u is affine in u:
 
     |f(x + yu)|^2 = A(z) + 2 u.B(z),
     A = |F1|^2 + |F2|^2,   B = t v - s w + w x v.

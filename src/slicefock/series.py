@@ -9,6 +9,16 @@ slice yields two ordinary complex series; the extension operator rebuilds
 values anywhere from those two.  The slice basis (1, u, v, uv) behind the
 split is ``quaternions.slice_frame``; splitting and recombining are
 ``to_frame`` and ``from_frame`` in that frame.
+
+Bulk evaluation goes through the stem function.  On the slice of u, with
+z = x + iy, every power splits as (x + yu)^n = Re(z^n) + u Im(z^n), so
+
+    f(x + yu) = F1(z) + u F2(z),   F1 + i F2 = sum_n z^n a_n,
+
+and ``eval_many`` takes F1 and F2 at every point from one complex Horner
+sweep (``_horner``) of the four real coefficient components, then forms
+u F2 with one Hamilton product.  The scalar ``eval`` keeps the quaternion
+Horner loop, as an independent check.
 """
 
 from __future__ import annotations
@@ -46,6 +56,11 @@ __all__ = [
 # windowed somewhere, and silently growing degrees would make the grids
 # quadratically slower.  Products record how many degrees they dropped.
 DEGREE_CAP = 64
+
+# A sum of three squares v.v at least this large has lost at most 3 * 2^-1075
+# to squares that underflowed, 2^-105 of itself; eval_many rescales v where
+# v.v is smaller or overflowed.
+_NORM_SQ_MIN = 2.0 ** -968
 
 
 def _zero_tol(coeffs: np.ndarray) -> float:
@@ -163,22 +178,44 @@ class SliceSeries:
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized eval at an (..., 4) array of points; returns the same shape.
 
-        The Horner accumulator is kept as (4, M) component rows, so each
-        step is one ``_hamilton_rows`` product on contiguous memory.
+        Goes through the stem function: q = x + v lies on the slice of
+        I = v/|v|, where q^n = Re(z^n) + I Im(z^n) for z = x + i|v|, so
+
+            f(q) = F1(z) + I F2(z),   F1 + i F2 = sum_n z^n a_n.
+
+        One complex Horner sweep (``_horner``) of the four real coefficient
+        rows gives F1 and F2 as (4, M) rows, and one ``_hamilton_rows``
+        product gives I F2.  At real points I is 0, where F2 is 0 as well.
+        Where v.v under- or overflows, |v| is taken as s |v/s| with s the
+        largest |v_k|.
         """
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1:] != (4,):
             raise ValueError("points must form an (..., 4) component array")
-        q = np.ascontiguousarray(pts.reshape(-1, 4).T)
-        coeffs = self.coeffs[:, :, None]
-        acc = np.empty_like(q)
-        acc[:] = coeffs[-1]
-        nxt = np.empty_like(q)
-        for n in range(self.degree - 1, -1, -1):
-            _hamilton_rows(q, acc, nxt)
-            nxt += coeffs[n]
-            acc, nxt = nxt, acc
-        return np.ascontiguousarray(acc.T).reshape(pts.shape)
+        q = pts.reshape(-1, 4).T.copy()          # a private copy: it becomes I's rows
+        v = q[1:]
+        with np.errstate(over="ignore", under="ignore"):
+            y = np.einsum("km,km->m", v, v)
+        far = (y < _NORM_SQ_MIN) | (y == np.inf)
+        np.sqrt(y, out=y)
+        if far.any():
+            w = v[:, far]
+            s = np.abs(w).max(axis=0)
+            np.divide(w, s, out=w, where=s > 0)
+            y[far] = s * np.sqrt(np.einsum("km,km->m", w, w))
+        z = np.empty(len(y), dtype=complex)
+        z.real = q[0]
+        z.imag = y
+        real = ~(y > 0)                          # v = 0, or a NaN that z carries
+        q[0] = 0.0                               # rows (0, v/|v|); 0 where real
+        np.divide(v, y, out=v, where=~real)
+        v[:, real] = 0.0
+        f = _horner(self.coeffs, z)
+        out = np.empty(pts.shape)
+        rows = out.reshape(-1, 4).T
+        _hamilton_rows(q, f.imag, rows)
+        rows += f.real
+        return out
 
     # -- star algebra --------------------------------------------------------
 

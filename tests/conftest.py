@@ -21,6 +21,25 @@ def make_series(rng: np.random.Generator, degree: int) -> SliceSeries:
     return SliceSeries(rng.standard_normal((degree + 1, 4)))
 
 
+def horner_tolerance(f: SliceSeries, points, c: float = 4.0) -> np.ndarray:
+    """c (deg + 1) eps sum_n |a_n| |q|^n at each point of an (..., 4) array.
+
+    The scale of Horner's rounding error, with no absolute floor: two
+    evaluations of f at q that both round like Horner differ by less.
+    """
+    radius = np.linalg.norm(np.asarray(points, dtype=float), axis=-1)
+    weights = np.polynomial.polynomial.polyval(radius, np.linalg.norm(f.coeffs, axis=1))
+    return c * (f.degree + 1) * np.finfo(float).eps * weights
+
+
+def assert_within_horner_bound(f: SliceSeries, got, want, points, c: float = 4.0) -> None:
+    """|got - want| per point below ``horner_tolerance``, with equal shapes."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape == np.shape(points)
+    err = np.linalg.norm(got - want, axis=-1)
+    assert np.all(err <= horner_tolerance(f, points, c))
+
+
 def ball_point(rng: np.random.Generator, r_scale: float = 0.95) -> Quaternion:
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)

@@ -30,7 +30,7 @@ from slicefock.fock import _power, slice_abs_sq, slice_norms, stem_norms
 from slicefock.quaternions import random_unit_imaginary, slice_frame
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
-from conftest import ball_point, make_series
+from conftest import ball_point, horner_tolerance, make_series
 
 
 # -- parameter validation -------------------------------------------------------
@@ -592,4 +592,5 @@ def test_sample_on_grid_matches_eval(rng):
     for idx in (0, 5, 17, 63):
         z = grid.z[idx]
         q = Quaternion(z.real, z.imag, 0, 0)
-        assert np.allclose(samples[idx], f.eval(q).as_array(), atol=1e-12)
+        atol = horner_tolerance(f, q.as_array())
+        assert np.allclose(samples[idx], f.eval(q).as_array(), rtol=0, atol=atol)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from slicefock.quaternions import random_unit_imaginary
 
 from conftest import (
     assert_bit_identical,
+    assert_within_horner_bound,
     ball_point,
     broadcast_from_frame,
+    horner_tolerance,
     layouts,
     make_series,
     stack_hamilton,
@@ -63,9 +66,32 @@ def test_eval_many_matches_scalar(rng):
     f = make_series(rng, 7)
     pts = rng.standard_normal((40, 4)) * 0.6
     vals = f.eval_many(pts)
+    tol = horner_tolerance(f, pts)
     for k in range(40):
         expect = f.eval(Quaternion.from_components(pts[k]))
-        assert np.allclose(vals[k], expect.as_array(), atol=1e-13)
+        assert np.allclose(vals[k], expect.as_array(), rtol=0, atol=tol[k])
+
+
+def test_eval_many_survives_overflow_of_the_imaginary_norm():
+    # v.v = 3e320 overflows although every component and f(q) are finite
+    f = SliceSeries(np.array([[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 0.0, 2.0]]))
+    q = Quaternion(1e160, 1e160, -1e160, 1e160)
+    want = f.eval(q).as_array()
+    assert np.allclose(want, [-5e159, -2.5e160, -3.5e160, 1.5e160], rtol=1e-15, atol=0)
+    got = f.eval_many(q.as_array())
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * np.abs(want).max())
+
+
+@pytest.mark.parametrize("tiny", (1e-170, 1e-300, 5e-324))
+def test_eval_many_survives_underflow_of_the_imaginary_norm(tiny):
+    # v.v underflows to 0, which must not turn q into a real point
+    identity = SliceSeries.monomial(1)
+    for k in (1, 2, 3):
+        q = np.zeros(4)
+        q[k] = tiny
+        assert np.array_equal(identity.eval_many(q), q)
+    q = np.array([0.0, tiny, -tiny, tiny])
+    assert np.all(np.abs(identity.eval_many(q) - q) <= 4 * np.finfo(float).eps * tiny)
 
 
 def test_addition_is_pointwise(rng):
@@ -359,16 +385,40 @@ def extend_stack(pair, points) -> np.ndarray:
     return 0.5 * (stack_hamilton(one - iq_u, fz) + stack_hamilton(one + iq_u, fzbar))
 
 
+def with_axis_points(rng: np.random.Generator, points: np.ndarray) -> np.ndarray:
+    """points with its first rows real, with -0 then +0 imaginary parts, then on the i, j and k axes."""
+    m = len(points)
+    points[: m // 7, 1:] = -0.0
+    points[m // 7: 2 * (m // 7), 1:] = 0.0
+    for k in (1, 2, 3):                          # x + y e_k
+        rows = slice((k + 1) * (m // 7), (k + 2) * (m // 7))
+        points[rows, 1:] = 0.0
+        points[rows, k] = rng.standard_normal(m // 7)
+    return points
+
+
 @pytest.mark.parametrize("degree", (0, 1, 10, 32))
 @pytest.mark.parametrize("m", (0, 1, 7, 20_000))
 def test_eval_and_extend_many_bit_identical_to_stack_formula(degree, m, rng):
+    # extend_many is pinned bit for bit.  eval_many goes through the stem
+    # function, so it is held to Horner's error bound, against the stacked
+    # Hamilton loop at every point and against the scalar eval at a sample,
+    # for f and for a series without zero coefficients
     f = SliceSeries(with_signed_zeros(rng, (degree + 1, 4)))
     points = with_signed_zeros(rng, (m, 4))
     points[: m // 7, 1:] = -0.0                  # real points, signed zeros in Im
     pair = f.split(random_unit_imaginary(rng))
     for x in layouts(points).values():
-        assert_bit_identical(f.eval_many(x), horner_stack(f, x))
         assert_bit_identical(pair.extend_many(x), extend_stack(pair, x))
+    points = with_axis_points(rng, points)
+    step = max(1, m // 200)
+    for g in (f, make_series(rng, degree)):
+        scalar = [g.eval(Quaternion.from_components(q)).as_array() for q in points[::step]]
+        for x in layouts(points).values():
+            got = g.eval_many(x)
+            assert got.dtype == float
+            assert_within_horner_bound(g, got, horner_stack(g, x), x)
+            assert_within_horner_bound(g, got[::step], np.reshape(scalar, (-1, 4)), x[::step])
 
 
 def horner_loop(pair, z):
@@ -400,9 +450,22 @@ def test_eval_many_shape_contract(rng):
     f = make_series(rng, 6)
     for shape in ((4,), (0, 4), (2, 3, 4)):
         points = rng.standard_normal(shape)
-        assert_bit_identical(f.eval_many(points), horner_stack(f, points))
+        assert_within_horner_bound(f, f.eval_many(points), horner_stack(f, points), points)
     q = Quaternion(0.3, -0.2, 0.1, 0.4)
-    assert np.array_equal(f.eval_many(q.as_array()), f.eval(q).as_array())
+    assert_within_horner_bound(f, f.eval_many(q.as_array()), f.eval(q).as_array(), q.as_array())
+    # a NaN anywhere in q gives NaN values as in eval; a constant stays a_0
+    nan_points = np.array([[math.nan, 0.1, 0.2, 0.3], [0.1, 0.2, math.nan, 0.3],
+                           [math.nan] * 4, [0.0, 0.0, 0.0, math.nan]])
+    for g in (f, f.truncate(1), f.truncate(0)):
+        want = [g.eval(Quaternion.from_components(p)).as_array() for p in nan_points]
+        assert np.array_equal(g.eval_many(nan_points), want, equal_nan=True)
+    assert np.isnan(f.eval_many(nan_points)).all()
+    # the points are read, never written, whatever their layout
+    points = rng.standard_normal((50, 4))
+    for x in (*layouts(points).values(), points[0]):
+        before = x.copy()
+        f.eval_many(x)
+        assert_bit_identical(x, before)
     for bad in (np.zeros((5, 3)), np.zeros((4, 3)), np.zeros(())):
         with pytest.raises(ValueError):
             f.eval_many(bad)
