@@ -37,13 +37,33 @@ u is affine in u:
     |f(x + yu)|^2 = A(z) + 2 u.B(z),
     A = |F1|^2 + |F2|^2,   B = t v - s w + w x v.
 
-The weighted reduction folds the Gaussian into a radial weight,
-(|f|^2 e^(-alpha r^2))^(p/2) = |f|^p e^(-alpha p r^2 / 2), and sums over
-angles before radii, so the ring sums of |f|^p serve every alpha.  Each
-exponent gets the least arithmetic it needs:
+The Gaussian depends on the radius alone: ring r of the grid carries one
+weight lambda_r = area_r (alpha/pi) e^(-alpha r^2) at each of its n_theta
+nodes (``PolarGrid.ring_weights``).  The angular rule is the equispaced
+trapezoid, so the angular sum of each ring is a DFT: with theta_j =
+2 pi j / n_theta, sum_j e^(-i n theta_j) x_j is bin n mod n_theta of
+``np.fft.fft(x)``, and conj(z)^n aliases mod n_theta on the grid exactly as
+the bins do.  Every p = 2 Gaussian integral is therefore a sum over an
+n_r x (degree + 1) ring table, for any degree:
 
-  * p = 2: the ring sums are affine in u, sum A + 2 u.sum B, so
-    ``stem_norms`` fills no |f|^2 row at all;
+  * Gram diagonal: gamma_m = n_theta sum_r lambda_r r^(2m);
+  * projection moment n: sum_r lambda_r r^n spectrum[r, n mod n_theta], from
+    one FFT over the angles of each ring of the frame samples;
+  * p = 2 slice norm: by Parseval, sum_theta |F1|^2 + |F2|^2 = n_theta
+    sum_{c,m} T[c,r,m]^2 with T[c,r,m] = sum over n = m mod n_theta of
+    a_{n,c} r^n, and sum_theta B = 0 exactly, since B pairs F1 with F2
+    antisymmetrically and T is real.  So every p = 2 slice norm is the
+    same number, computed from the coefficients without a node value, and
+    ``fock_norm_sup`` at p = 2 reports the first sample axis.
+
+Every table row lambda_r r^n is a running product that starts from the
+weight (from sqrt(lambda_r) for the norms, whose terms are squared), so a
+Gaussian that underflows never meets a power that overflows.
+
+For p != 2 the weighted reduction folds the Gaussian into a radial weight,
+(|f|^2 e^(-alpha r^2))^(p/2) = |f|^p e^(-alpha p r^2 / 2), and sums over
+angles before radii, so the ring sums of |f|^p serve every alpha:
+
   * p = 4, 3, 3/2, 4/3: |f|^p is s*s, s*sqrt(s), sqrt(s*sqrt(s)) and
     cbrt(s)^2 for s = |f|^2 (``_power``); any other p uses s ** (p/2);
   * rows are filled, powered and summed in blocks of ``_BLOCK_ROWS`` slices
@@ -53,8 +73,9 @@ The single-slice paths (inner product, grid samples, projection) split f
 as F + G v in the frame (1, u, v, uv) of ``quaternions.slice_frame`` instead,
 through ``to_frame``/``from_frame``: two complex Horner rows, not four.
 
-All reductions are plain ordered numpy sums over immutable grids (no BLAS),
-so equal inputs give bit-identical outputs whatever the thread count.
+All reductions are plain ordered numpy sums and elementwise products over
+immutable grids (no BLAS), and numpy's FFT runs no threads, so equal inputs
+give bit-identical outputs whatever the thread count.
 """
 
 from __future__ import annotations
@@ -286,32 +307,59 @@ def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
     return _weighted_norms(rings, grid, pairs)
 
 
+def _ring_powers(start: np.ndarray, step: np.ndarray, degree: int) -> np.ndarray:
+    """start * step^n per ring, n = 0..degree, shape (n_r, degree + 1).
+
+    A running product from ``start``: step^n is never formed alone, so an
+    underflowed weight never meets an overflowed power (0 * inf = NaN).
+    """
+    table = np.empty((start.size, degree + 1))
+    table[:, 0] = start
+    table[:, 1:] = step[:, None]
+    return np.cumprod(table, axis=1)
+
+
+def _p2_rings(f: SliceSeries, grid: PolarGrid, alpha: float) -> np.ndarray:
+    """lambda_r sum_theta |f|^2 on each ring, shape (n_r,), the same on every slice.
+
+    sum_theta |f|^2 = n_theta sum_{c,m} T[c,r,m]^2 with T[c,r,m] the sum of
+    a_{n,c} r^n over n = m mod n_theta (module docstring).  The running
+    powers start from sqrt(lambda_r), so e^(-alpha r^2 / 2) is folded in
+    before squaring and |f|^2 itself is never formed.
+    """
+    powers = _ring_powers(np.sqrt(grid.ring_weights(alpha)), grid.r, f.degree)
+    terms = f.coeffs.T[:, None, :] * powers
+    bins = -(-terms.shape[-1] // grid.n_theta)
+    if bins > 1:
+        terms = np.pad(terms, ((0, 0), (0, 0), (0, bins * grid.n_theta - terms.shape[-1])))
+        terms = np.sum(terms.reshape(4, grid.n_r, bins, grid.n_theta), axis=2)
+    return grid.n_theta * np.sum(terms * terms, axis=(0, 2))
+
+
 def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
     """Weighted p-norms of f on the slice of each axis, for every (p, alpha) pair.
 
     ``axes`` is one unit imaginary or an (m, 4) array of them; each result
-    has shape (m,).  One stem sweep of f serves every axis and exponent.
-    At p = 2 the ring sums are linear in u, sum A + 2 u.sum B, so no row is
-    filled; other exponents fill |f|^2 rows a block at a time, and no
-    (m, nodes) stack is built.
+    has shape (m,).  At p = 2 every slice has the one norm of the ring
+    table (``_p2_rings``), and no node value is computed.  Other exponents
+    share one stem sweep of f and fill |f|^2 rows a block at a time, and
+    no (m, nodes) stack is built.
     """
     units = _axis_rows(axes)
-    a, b = _stem_terms(f, grid)
-    b2 = 2.0 * b
-    ps = _exponents(pairs)
-    rings = {}
-    if 2.0 in ps:
-        shape = (grid.n_r, grid.n_theta)
-        ra = np.sum(a.reshape(shape), axis=-1)
-        rb2 = np.sum(b2.reshape((3,) + shape), axis=-1)
-        rings[2.0] = (units[:, 0:1] * rb2[0] + units[:, 1:2] * rb2[1]
-                      + units[:, 2:3] * rb2[2] + ra)
-    rest = [p for p in ps if p != 2.0]
+    out = {}
+    for pair in pairs:
+        if pair[0] == 2.0:
+            norm = math.sqrt(float(np.sum(_p2_rings(f, grid, pair[1]))))
+            out[pair] = np.full(len(units), norm)
+    rest = [pair for pair in pairs if pair[0] != 2.0]
     if rest:
+        a, b = _stem_terms(f, grid)
+        b2 = 2.0 * b
         blocks = ((i, _slice_rows(a, b2, units[i: i + _BLOCK_ROWS]))
                   for i in range(0, len(units), _BLOCK_ROWS))
-        rings.update(_ring_sums(blocks, len(units), grid, rest))
-    return _weighted_norms(rings, grid, pairs)
+        rings = _ring_sums(blocks, len(units), grid, _exponents(rest))
+        out.update(_weighted_norms(rings, grid, rest))
+    return {pair: out[pair] for pair in pairs}
 
 
 def fock_norm_slice(f: SliceSeries, u: Quaternion, params: FockParams,
@@ -382,20 +430,15 @@ def inner_product(f: SliceSeries, g: SliceSeries, u: Quaternion, params: FockPar
 def gram_table(params: FockParams, grid: Optional[PolarGrid] = None) -> np.ndarray:
     """Monomial Gram diagonal ||q^m||^2, m = 0..degree, measured with the grid.
 
-    A read-only (degree + 1,) array.  On the unit disk the entries match the
-    incomplete-gamma values gamma(m+1, alpha)/alpha^m; in plane mode they
-    approach m!/alpha^m as the truncation radius grows.
+    A read-only (degree + 1,) array, the radial sum of the ring table,
+    gamma_m = n_theta sum_r lambda_r r^(2m).  On the unit disk the entries
+    match the incomplete-gamma values gamma(m+1, alpha)/alpha^m; in plane
+    mode they approach m!/alpha^m as the truncation radius grows.
     """
     if grid is None:
         grid = build_grid(params)
-    lam = grid.gaussian_weights(params.alpha)
-    r_sq = np.abs(grid.z) ** 2
-    diag = np.empty(params.degree + 1)
-    acc = lam.copy()
-    diag[0] = acc.sum()
-    for m in range(1, params.degree + 1):
-        acc = acc * r_sq
-        diag[m] = acc.sum()
+    powers = _ring_powers(grid.ring_weights(params.alpha), grid.r * grid.r, params.degree)
+    diag = grid.n_theta * np.sum(powers, axis=0)
     diag.flags.writeable = False
     return diag
 
@@ -452,6 +495,8 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     kernel paired on the left of the samples; the kernel hermiticity
     K(q, w) = conj(K(w, q)) makes this the adjoint-consistent order, and it
     keeps the output a genuine left series even for quaternion-valued samples.
+    The integral is sum_r lambda_r r^n spectrum[r, n mod n_theta], from one
+    FFT over the angles of each ring (module docstring).
     """
     if grid is None:
         grid = build_grid(params)
@@ -462,21 +507,12 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
         raise ValueError("samples do not match the grid: %d values for %d nodes"
                          % (s.shape[0], grid.size))
     frame = slice_frame(u)
-    c1, c2 = to_frame(s, frame)
-    lam = grid.gaussian_weights(params.alpha)
-    zbar = np.conj(grid.z)
-    scale = _kernel_weights(params, grid, corrected)
-    w1 = c1 * lam
-    w2 = c2 * lam
-    pw = np.ones_like(zbar)
-    a = np.empty(params.degree + 1, dtype=complex)
-    b = np.empty(params.degree + 1, dtype=complex)
-    for n in range(params.degree + 1):
-        a[n] = np.sum(pw * w1)
-        b[n] = np.sum(pw * w2)
-        if n < params.degree:
-            pw = pw * zbar
-    return SliceSeries(from_frame(a * scale, b * scale, frame))
+    rows = np.stack(to_frame(s, frame)).reshape(2, grid.n_r, grid.n_theta)
+    spectrum = np.fft.fft(rows, axis=-1)
+    bins = np.arange(params.degree + 1) % grid.n_theta
+    powers = _ring_powers(grid.ring_weights(params.alpha), grid.r, params.degree)
+    a, b = np.sum(spectrum[:, :, bins] * powers, axis=1) * _kernel_weights(params, grid, corrected)
+    return SliceSeries(from_frame(a, b, frame))
 
 
 def project_T(samples: np.ndarray, q: Quaternion, u: Quaternion, params: FockParams,

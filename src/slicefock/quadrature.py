@@ -4,7 +4,8 @@ The grid is a tensor product of Gauss-Legendre nodes in the radius (with
 the polar Jacobian folded into the weights) and equispaced angles with the
 trapezoid rule, which is exact for trigonometric polynomials of degree
 below the angle count.  Weights carry the plain Lebesgue area element;
-Gaussian-measure weights are derived on demand.
+Gaussian-measure weights are derived on demand, once per ring, since the
+Gaussian depends on the radius alone.
 
 The slice sample is the one format of the sphere of unit imaginaries that
 the norm code reads: a cached, read-only (m, 4) array of quaternion
@@ -41,9 +42,16 @@ class PolarGrid:
     def size(self) -> int:
         return self.z.size
 
+    def ring_weights(self, alpha: float) -> np.ndarray:
+        """Weight lambda_r of (alpha/pi) exp(-alpha r^2) dA at each node of ring r,
+        shape (n_r,): the one definition of the Gaussian weight."""
+        ring_area = self.area_weights[:: self.n_theta]
+        return ring_area * (alpha / math.pi) * np.exp(-alpha * self.r * self.r)
+
     def gaussian_weights(self, alpha: float) -> np.ndarray:
-        """Weights of (alpha/pi) exp(-alpha |z|^2) dA at the nodes."""
-        return self.area_weights * (alpha / math.pi) * np.exp(-alpha * np.abs(self.z) ** 2)
+        """Weights of (alpha/pi) exp(-alpha |z|^2) dA at the nodes: ``ring_weights``
+        repeated over the angles of each ring."""
+        return np.repeat(self.ring_weights(alpha), self.n_theta)
 
     def gaussian_mass(self, alpha: float) -> float:
         return float(np.sum(self.gaussian_weights(alpha)))

@@ -27,7 +27,7 @@ from slicefock import (
     slice_sample,
 )
 from slicefock.fock import _power, slice_abs_sq, slice_norms, stem_norms
-from slicefock.quaternions import random_unit_imaginary, slice_frame
+from slicefock.quaternions import random_unit_imaginary, slice_frame, to_frame
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
 from conftest import ball_point, horner_tolerance, make_series
@@ -296,6 +296,36 @@ def test_stem_norms_p2_linear_form_matches_rows_and_closed_form(domain, rng):
             assert np.all(np.abs(got[(p, a)] - closed) <= 1e-13 * closed)
 
 
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_stem_norms_p2_ring_table_matches_rows_past_n_theta(domain, rng):
+    # degree >= n_theta: powers alias mod n_theta on the ring, z^(m + n_theta) = r^n_theta z^m
+    params = FockParams(domain=domain, radius=3.0, n_r=16, n_theta=8)
+    grid = build_grid(params)
+    axes = slice_sample(params.n_slices)
+    pairs = _norm_case_pairs((2.0,))
+    eps = np.finfo(float).eps
+    for degree in (7, 8, 12, 20, 33):
+        f = make_series(rng, degree)
+        got = stem_norms(f, axes, grid, pairs)
+        want = slice_norms(slice_abs_sq(f, axes, grid), grid, pairs)
+        # both square values of size up to (sum_n |a_n| |z|^n)^2 at each node
+        majorant = np.polynomial.polynomial.polyval(np.abs(grid.z),
+                                                    np.linalg.norm(f.coeffs, axis=1))
+        for (p, a) in pairs:
+            scale = float(np.sum(grid.gaussian_weights(a) * majorant * majorant))
+            tol = 16 * (degree + 1) * eps * scale
+            assert np.all(np.abs(got[(p, a)] ** 2 - want[(p, a)] ** 2) <= tol)
+            assert np.all(got[(p, a)] == got[(p, a)][0])
+
+
+def test_p2_norm_is_finite_where_the_gaussian_underflows():
+    # |f|^2 = r^300 overflows near r = 30, where e^(-r^2) underflows to 0
+    params = FockParams(domain="plane", radius=30.0, degree=150)
+    grid = build_grid(params)
+    norm = fock_norm_slice(SliceSeries.monomial(150), I, params, grid)
+    assert abs(norm * norm / gram_table(params, grid)[150] - 1.0) <= 1e-12
+
+
 def test_stem_norms_nan_coefficient_gives_nan(rng):
     params = FockParams(n_r=16, n_theta=64)
     grid = build_grid(params)
@@ -385,6 +415,24 @@ def test_gram_table_is_a_read_only_diagonal():
     assert not diag.flags.writeable
     with pytest.raises(ValueError):
         diag[0] = 1.0
+
+
+def _node_gaussian_weights(grid, alpha):
+    """(alpha/pi) e^(-alpha |z|^2) dA from each node's own |z|, not from its ring."""
+    return grid.area_weights * (alpha / math.pi) * np.exp(-alpha * np.abs(grid.z) ** 2)
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_gram_table_matches_the_node_sum(domain):
+    params = FockParams(domain=domain, degree=40)
+    grid = build_grid(params)
+    lam = _node_gaussian_weights(grid, params.alpha)
+    r_sq = np.abs(grid.z) ** 2
+    diag = gram_table(params, grid)
+    eps = np.finfo(float).eps
+    for m in range(params.degree + 1):
+        want = float(np.sum(lam * r_sq ** m))
+        assert abs(diag[m] - want) <= 8 * (m + 8) * eps * want
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -570,6 +618,47 @@ def test_corrected_projection_exact_on_disk(m, rng):
     for _ in range(5):
         q = ball_point(rng)
         assert abs(series.eval(q) - mono.eval(q)) <= 1e-8
+
+
+def _moment_loop_projection(samples, u, params, grid, corrected):
+    """Reference: moment n as a node sum of conj(z)^n f(z) against the Gaussian weights,
+    with the sum of the moduli of its terms, the scale of its rounding error."""
+    frame = slice_frame(u)
+    c1, c2 = to_frame(samples, frame)
+    lam = _node_gaussian_weights(grid, params.alpha)
+    size = (np.abs(c1) + np.abs(c2)) * lam
+    zbar = np.conj(grid.z)
+    pw = np.ones_like(zbar)
+    a, b = np.empty((2, params.degree + 1), dtype=complex)
+    mag = np.empty(params.degree + 1)
+    for n in range(params.degree + 1):
+        a[n] = np.sum(pw * c1 * lam)
+        b[n] = np.sum(pw * c2 * lam)
+        mag[n] = np.sum(np.abs(pw) * size)
+        pw = pw * zbar
+    weights = 1.0 / gram_table(params, grid) if corrected else np.array(
+        [params.alpha ** n / math.factorial(n) for n in range(params.degree + 1)])
+    return a * weights, b * weights, mag * weights
+
+
+@pytest.mark.parametrize("domain, n_r, n_theta, degree", [
+    ("disk", 64, 256, 32), ("plane", 64, 256, 32),
+    ("disk", 16, 8, 12), ("plane", 16, 8, 12)])   # degree >= n_theta: bins alias
+@pytest.mark.parametrize("corrected", [False, True])
+def test_projection_matches_the_moment_loop(domain, n_r, n_theta, degree, corrected, rng):
+    params = FockParams(domain=domain, n_r=n_r, n_theta=n_theta, degree=degree)
+    grid = build_grid(params)
+    eps = np.finfo(float).eps
+    n = np.arange(degree + 1)
+    for k in range(6):
+        f = make_series(rng, int(rng.integers(0, degree + 1)))
+        u = random_unit_imaginary(rng)
+        samples = sample_on_grid(f, u, grid)
+        a, b, mag = _moment_loop_projection(samples, u, params, grid, corrected)
+        got_a, got_b = to_frame(projection_series(samples, u, params, grid,
+                                                  corrected=corrected).coeffs, slice_frame(u))
+        tol = 8 * (n + 8) * eps * mag
+        assert np.all(np.abs(got_a - a) <= tol) and np.all(np.abs(got_b - b) <= tol)
 
 
 def test_projection_rejects_grid_mismatch(rng):

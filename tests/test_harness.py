@@ -178,14 +178,20 @@ def test_checks_fail_on_nan_values(check_id, monkeypatch):
     assert math.isnan(outcome.lhs) and not outcome.passed
 
 
+def _nan_slice_norms(monkeypatch):
+    """NaN for every exponent: the stem terms of p != 2 and the ring table of p = 2."""
+    monkeypatch.setattr(fock, "_stem_terms", lambda f, grid: (
+        np.full(grid.size, math.nan), np.full((3, grid.size), math.nan)))
+    monkeypatch.setattr(fock, "_p2_rings", lambda f, grid, alpha: np.full(grid.n_r, math.nan))
+
+
 # norm-sandwich also reads the stem terms but still skips NaN ratios: perfbench's
 # test_nan_injection_raises_fail_ratio pins that loop
 @pytest.mark.parametrize("check_id", ["growth-bound", "growth-normalized", "embedding",
                                       "dilation", "poly-density"])
 def test_slice_norm_checks_fail_on_nan_stem_terms(check_id, monkeypatch):
     monkeypatch.setattr(checks, "_GROWTH_CACHE", {})
-    monkeypatch.setattr(fock, "_stem_terms", lambda f, grid: (
-        np.full(grid.size, math.nan), np.full((3, grid.size), math.nan)))
+    _nan_slice_norms(monkeypatch)
     outcome = run_check(check_id, RunConfig(n_r=16, n_theta=64, n_slices=8))
     assert math.isnan(outcome.lhs) and not outcome.passed
 
@@ -203,8 +209,7 @@ def _reject_constant(token):
 
 
 def test_nan_record_is_written_as_strict_json(monkeypatch, capsys):
-    monkeypatch.setattr(fock, "_stem_terms", lambda f, grid: (
-        np.full(grid.size, math.nan), np.full((3, grid.size), math.nan)))
+    _nan_slice_norms(monkeypatch)
     small = dict(n_r=16, n_theta=64, n_slices=8)
     results = run_suite(RunConfig(checks=("dilation",), **small))
     assert math.isnan(results[0].record()["lhs"])
