@@ -6,7 +6,8 @@ and u.  This script walks through the arithmetic, the slice coordinates,
 and the orthogonal companion unit used to split functions later on.
 """
 
-from slicefock import I, J, K, Quaternion, axis, decompose_basis, orthogonal_unit, slice_coords
+from slicefock import I, J, K, Quaternion, orthogonal_unit, slice_coords
+from slicefock.quaternions import slice_frame, to_frame
 
 # The defining relations: i j = k and friends, anticommuting.
 print("i*j =", (I * J).to_text())
@@ -28,7 +29,9 @@ print("axis^2 =", (u * u).to_text())
 print("reassembled:", slice_coords(q).reassemble().to_text())
 
 # Real values have no imaginary direction; the canonical unit i is used.
-print("axis(5) =", axis(Quaternion.real(5.0)).to_text())
+# Any nonzero imaginary part, however small, keeps its own direction.
+print("axis of 5 =", slice_coords(Quaternion.real(5.0)).axis.to_text())
+print("axis of 3 + 1e-13 j =", slice_coords(Quaternion(3.0, 0.0, 1e-13, 0.0)).axis.to_text())
 
 # A deterministic companion unit orthogonal to the axis.  Together with
 # their product, (1, u, v, uv) is an orthonormal basis of the quaternions.
@@ -36,9 +39,11 @@ v = orthogonal_unit(u)
 print("\ncompanion v =", v.to_text())
 print("u v + v u =", (u * v + v * u).to_text())
 
-# Any value decomposes into two complex numbers over that basis.
-z, s = decompose_basis(q, u, v)
+# Any value decomposes into two complex numbers over that basis, the
+# slice frame of u.
+z, s = to_frame(q.as_array(), slice_frame(u))
 print("q = %s + %s * v  in the slice of u" % (z, s))
 
-# With the canonical basis the decomposition is just a relabeling:
-print("\n1+i+j+k over (i, j):", decompose_basis(Quaternion(1, 1, 1, 1), I, J))
+# With the canonical frame (1, i, j, k) the decomposition is just a relabeling:
+z, s = to_frame(Quaternion(1, 1, 1, 1).as_array(), slice_frame(I))
+print("\n1+i+j+k over (1, i, j, k):", complex(z), complex(s))

@@ -9,7 +9,6 @@ line front end (``checks``, ``harness``, ``cli``).
 """
 
 from .quaternions import (
-    AXIS_EPS,
     I,
     J,
     K,
@@ -17,9 +16,6 @@ from .quaternions import (
     ZERO,
     Quaternion,
     SliceCoords,
-    axis,
-    compose_basis,
-    decompose_basis,
     orthogonal_unit,
     slice_coords,
 )
@@ -63,8 +59,8 @@ from .checks import DEFAULT_CHECKS, REGISTRY
 __version__ = "0.1.0"
 
 __all__ = [
-    "AXIS_EPS", "I", "J", "K", "ONE", "ZERO", "Quaternion", "SliceCoords",
-    "axis", "compose_basis", "decompose_basis", "orthogonal_unit", "slice_coords",
+    "I", "J", "K", "ONE", "ZERO", "Quaternion", "SliceCoords",
+    "orthogonal_unit", "slice_coords",
     "DEGREE_CAP", "SeriesFormatError", "SliceSeries", "SplitPair", "parse_series",
     "pointwise_star_residual", "read_series", "write_series",
     "PolarGrid", "build_polar_grid", "fibonacci_sphere", "slice_sample",

@@ -61,8 +61,9 @@ weight (from sqrt(lambda_r) for the norms, whose terms are squared), so a
 Gaussian that underflows never meets a power that overflows.
 
 For p != 2 the weighted reduction folds the Gaussian into a radial weight,
-(|f|^2 e^(-alpha r^2))^(p/2) = |f|^p e^(-alpha p r^2 / 2), and sums over
-angles before radii, so the ring sums of |f|^p serve every alpha:
+(|f|^2 e^(-alpha r^2))^(p/2) = |f|^p e^(-alpha p r^2 / 2): the ring weight
+of alpha p / 2, which also carries the normalization alpha p / (2 pi).  It
+sums over angles before radii, so the ring sums of |f|^p serve every alpha:
 
   * p = 4, 3, 3/2, 4/3: |f|^p is s*s, s*sqrt(s), sqrt(s*sqrt(s)) and
     cbrt(s)^2 for s = |f|^2 (``_power``); any other p uses s ** (p/2);
@@ -275,14 +276,11 @@ def _ring_sums(blocks, n_rows: int, grid: PolarGrid, ps) -> dict:
 
 
 def _weighted_norms(rings: dict, grid: PolarGrid, pairs) -> dict:
-    """Norms from the ring sums of |f|^p: the Gaussian is a radial weight."""
-    radial_area = grid.area_weights[:: grid.n_theta]
-    r_sq = grid.r * grid.r
+    """Norms from the ring sums of |f|^p: the Gaussian weight of alpha p / 2 per ring."""
     out = {}
     for (p, alpha) in pairs:
-        weight = radial_area * np.exp(-0.5 * alpha * p * r_sq)
-        integral = np.sum(rings[p] * weight, axis=-1)
-        out[(p, alpha)] = (alpha * p / (2.0 * math.pi) * integral) ** (1.0 / p)
+        integral = np.sum(rings[p] * grid.ring_weights(0.5 * alpha * p), axis=-1)
+        out[(p, alpha)] = integral ** (1.0 / p)
     return out
 
 

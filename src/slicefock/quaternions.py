@@ -3,9 +3,10 @@
 Components are (x0, x1, x2, x3) over the basis (1, i, j, k) with the
 multiplication rules ij = -ji = k, jk = -kj = i, ki = -ik = j.  Values are
 immutable; every operation returns a fresh ``Quaternion``, so all functions
-here are pure and safe to call concurrently.  ``slice_frame`` is the one
-place that fixes the basis (1, u, v, uv) in which quaternion data on the
-slice of u becomes a pair of complex numbers and back.
+here are pure and safe to call concurrently.  Each slice decision has one
+rule here: ``_slice_coords_rows`` writes q = x + yI (the slice that q sits
+on), and ``slice_frame`` fixes the basis (1, u, v, uv) in which quaternion
+data on the slice of u becomes a pair of complex numbers and back.
 """
 
 from __future__ import annotations
@@ -24,24 +25,20 @@ __all__ = [
     "I",
     "J",
     "K",
-    "AXIS_EPS",
-    "axis",
     "slice_coords",
     "orthogonal_unit",
     "check_unit_imaginary",
     "slice_frame",
     "to_frame",
     "from_frame",
-    "decompose_basis",
-    "compose_basis",
     "hamilton",
     "random_unit_imaginary",
 ]
 
-# Relative threshold below which Im(q) is treated as zero and the axis
-# falls back to the canonical unit i.  Scale-aware so that large reals do
-# not acquire a spurious axis from rounding noise.
-AXIS_EPS = 1e-13
+# A sum of three squares v.v at least this large has lost at most 3 * 2^-1075
+# to squares that underflowed, 2^-105 of itself; _slice_coords_rows rescales v
+# where v.v is smaller or overflowed.
+_NORM_SQ_MIN = 2.0 ** -968
 
 # orthogonal_unit normalizes the residual of j against u, whose norm
 # sqrt(1 - u_y^2) divides its rounding error; above |u_y| = 1 - gap it uses k,
@@ -210,22 +207,49 @@ class SliceCoords(NamedTuple):
                           self.y * self.axis.x3)
 
 
-def axis(q: Quaternion) -> Quaternion:
-    """Unit imaginary direction Im(q)/|Im(q)|.
+def _norm_sq(v) -> np.ndarray:
+    """v.v of three component rows, summed left to right whatever their layout."""
+    out = v[0] * v[0]
+    out += v[1] * v[1]
+    out += v[2] * v[2]
+    return out
 
-    (Near-)real inputs have no preferred direction; the canonical unit i is
-    returned so that downstream computations stay reproducible.
+
+def _slice_coords_rows(q):
+    """Slice coordinates of (4, M) component rows: q = x + yI with y = |Im q|.
+
+    Returns z = x + iy, shape (M,), and the unit-axis rows (0, I), shape
+    (4, M).  I is Im q / y wherever y > 0, and the canonical i where y is 0
+    or NaN (z carries the NaN).  Where v.v under- or overflows (v = Im q),
+    y is s |v/s| and I is (v/s) / |v/s|, with s the largest |v_k|.  This is
+    the one rule for the slice a point sits on: ``slice_coords``,
+    ``SliceSeries.eval_many`` and ``SplitPair.extend_many`` all call it.
     """
-    y = math.sqrt(q.x1 * q.x1 + q.x2 * q.x2 + q.x3 * q.x3)
-    if y <= AXIS_EPS * (1.0 + abs(q)):
-        return I
-    return Quaternion(0.0, q.x1 / y, q.x2 / y, q.x3 / y)
+    v = q[1:]
+    with np.errstate(over="ignore", under="ignore"):
+        y = _norm_sq(v)
+    far = (y < _NORM_SQ_MIN) | (y == np.inf)
+    np.sqrt(y, out=y)
+    axis = np.zeros((4, len(y)))
+    np.divide(v, y, out=axis[1:], where=y > 0)
+    if far.any():
+        w = v[:, far]
+        s = np.abs(w).max(axis=0)
+        np.divide(w, s, out=w, where=s > 0)
+        n = np.sqrt(_norm_sq(w))
+        y[far] = s * n
+        axis[1:, far] = np.divide(w, n, out=np.zeros_like(w), where=n > 0)
+    axis[1, ~(y > 0)] = 1.0
+    z = np.empty(len(y), dtype=complex)
+    z.real = q[0]
+    z.imag = y
+    return z, axis
 
 
 def slice_coords(q: Quaternion) -> SliceCoords:
-    """Split q into x + y*axis(q) with y = |Im(q)| >= 0."""
-    y = math.sqrt(q.x1 * q.x1 + q.x2 * q.x2 + q.x3 * q.x3)
-    return SliceCoords(q.x0, y, axis(q))
+    """Split q into x + y*axis with y = |Im(q)| >= 0, by ``_slice_coords_rows``."""
+    z, axis = _slice_coords_rows(q.as_array()[:, None])
+    return SliceCoords(q.x0, float(z.imag[0]), Quaternion.from_components(axis[:, 0]))
 
 
 def check_unit_imaginary(u) -> None:
@@ -261,12 +285,6 @@ def orthogonal_unit(u: Quaternion) -> Quaternion:
     return Quaternion(0.0, w[0], w[1], w[2])
 
 
-def _frame(u: Quaternion, v: Quaternion) -> np.ndarray:
-    frame = np.stack([ONE.as_array(), u.as_array(), v.as_array(), (u * v).as_array()])
-    frame.flags.writeable = False
-    return frame
-
-
 def slice_frame(u: Quaternion) -> np.ndarray:
     """Orthonormal slice basis of u: a (4, 4) array with rows 1, u, v, uv.
 
@@ -274,7 +292,10 @@ def slice_frame(u: Quaternion) -> np.ndarray:
     gives the complex coordinates (c1, c2) of to_frame and from_frame.
     """
     check_unit_imaginary(u)
-    return _frame(u, orthogonal_unit(u))
+    v = orthogonal_unit(u)
+    frame = np.stack([ONE.as_array(), u.as_array(), v.as_array(), (u * v).as_array()])
+    frame.flags.writeable = False
+    return frame
 
 
 def to_frame(comps: np.ndarray, frame: np.ndarray):
@@ -306,38 +327,6 @@ def from_frame(c1, c2, frame: np.ndarray) -> np.ndarray:
     """(..., 4) components c1.re + c1.im u + c2.re v + c2.im uv; inverse of to_frame."""
     rows = _frame_rows(c1, c2, frame)
     return np.ascontiguousarray(rows.transpose(tuple(range(1, rows.ndim)) + (0,)))
-
-
-def _check_slice_basis(u: Quaternion, v: Quaternion, tol: float = 1e-10) -> None:
-    if abs(u.x0) > tol or abs(v.x0) > tol:
-        raise ValueError("slice basis units must be purely imaginary")
-    if abs(abs(u) - 1.0) > tol or abs(abs(v) - 1.0) > tol:
-        raise ValueError("slice basis units must have unit norm")
-    anticomm = u * v + v * u
-    if abs(anticomm) > tol:
-        raise ValueError("slice basis (u, v) is not orthogonal: u*v + v*u != 0")
-
-
-def decompose_basis(a: Quaternion, u: Quaternion, v: Quaternion) -> tuple[complex, complex]:
-    """Write a = z + w*v with z, w in the complex plane spanned by (1, u).
-
-    (1, u, v, u*v) is an orthonormal real basis of the quaternions whenever
-    u and v are orthogonal unit imaginaries, so the coordinates are plain
-    Euclidean projections (to_frame).  Raises if (u, v) fail to anticommute.
-    """
-    _check_slice_basis(u, v)
-    z, w = to_frame(a.as_array(), _frame(u, v))
-    return complex(z), complex(w)
-
-
-def compose_basis(z: complex, w: complex, u: Quaternion, v: Quaternion) -> Quaternion:
-    """Inverse of decompose_basis: (z.re + z.im*u) + (w.re + w.im*u)*v.
-
-    Raises, like decompose_basis, unless (u, v) are anticommuting unit
-    imaginaries.
-    """
-    _check_slice_basis(u, v)
-    return Quaternion.from_components(from_frame(z, w, _frame(u, v)))
 
 
 def random_unit_imaginary(rng: np.random.Generator) -> Quaternion:

@@ -17,7 +17,7 @@ __all__ = [
 ]
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
+def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -26,8 +26,8 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     rm = 0.5 * (m + b)
     flm = f(lm)
     frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
     delta = left + right - whole
     # the rounding floor keeps huge-magnitude integrals from subdividing
     # past the precision the arithmetic can deliver; a NaN delta stops too,
@@ -50,7 +50,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, max_depth: int =
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
+    whole = _simpson(a, fa, b, fb, fm)
     return _adapt(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
 
 

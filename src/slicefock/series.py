@@ -29,11 +29,11 @@ from typing import Iterable, TextIO, Union
 import numpy as np
 
 from .quaternions import (
-    AXIS_EPS,
     ONE,
     Quaternion,
     _frame_rows,
     _hamilton_rows,
+    _slice_coords_rows,
     from_frame,
     hamilton,
     slice_frame,
@@ -56,11 +56,6 @@ __all__ = [
 # windowed somewhere, and silently growing degrees would make the grids
 # quadratically slower.  Products record how many degrees they dropped.
 DEGREE_CAP = 64
-
-# A sum of three squares v.v at least this large has lost at most 3 * 2^-1075
-# to squares that underflowed, 2^-105 of itself; eval_many rescales v where
-# v.v is smaller or overflowed.
-_NORM_SQ_MIN = 2.0 ** -968
 
 
 def _zero_tol(coeffs: np.ndarray) -> float:
@@ -185,35 +180,18 @@ class SliceSeries:
 
         One complex Horner sweep (``_horner``) of the four real coefficient
         rows gives F1 and F2 as (4, M) rows, and one ``_hamilton_rows``
-        product gives I F2.  At real points I is 0, where F2 is 0 as well.
-        Where v.v under- or overflows, |v| is taken as s |v/s| with s the
-        largest |v_k|.
+        product gives I F2.  z and I come from the one slice-coordinate
+        rule, ``quaternions._slice_coords_rows``; at real points I is i,
+        where F2 is 0.
         """
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1:] != (4,):
             raise ValueError("points must form an (..., 4) component array")
-        q = pts.reshape(-1, 4).T.copy()          # a private copy: it becomes I's rows
-        v = q[1:]
-        with np.errstate(over="ignore", under="ignore"):
-            y = np.einsum("km,km->m", v, v)
-        far = (y < _NORM_SQ_MIN) | (y == np.inf)
-        np.sqrt(y, out=y)
-        if far.any():
-            w = v[:, far]
-            s = np.abs(w).max(axis=0)
-            np.divide(w, s, out=w, where=s > 0)
-            y[far] = s * np.sqrt(np.einsum("km,km->m", w, w))
-        z = np.empty(len(y), dtype=complex)
-        z.real = q[0]
-        z.imag = y
-        real = ~(y > 0)                          # v = 0, or a NaN that z carries
-        q[0] = 0.0                               # rows (0, v/|v|); 0 where real
-        np.divide(v, y, out=v, where=~real)
-        v[:, real] = 0.0
+        z, axis = _slice_coords_rows(pts.reshape(-1, 4).T)
         f = _horner(self.coeffs, z)
         out = np.empty(pts.shape)
         rows = out.reshape(-1, 4).T
-        _hamilton_rows(q, f.imag, rows)
+        _hamilton_rows(axis, f.imag, rows)
         rows += f.real
         return out
 
@@ -326,25 +304,15 @@ class SplitPair:
     def extend_many(self, points: np.ndarray) -> np.ndarray:
         """Slice-regular extension at an (M, 4) array of points; returns (M, 4).
 
-        Writes each q = x + y*axis(q), evaluates the slice function at
-        z = x + y*u and its mirror x - y*u, and averages the two with the
-        projection factors (1 -+ axis(q)*u)/2.  Near-real points take the
-        axis i, by the rule of ``quaternions.axis``.  On the slice of u this
-        reduces to plain evaluation; elsewhere it reproduces the unique
+        Writes each q = x + yI (``quaternions._slice_coords_rows``), evaluates
+        the slice function at z = x + yu and its mirror x - yu, and averages
+        the two with the projection factors (1 -+ Iu)/2.  On the slice of u
+        this reduces to plain evaluation; elsewhere it reproduces the unique
         slice-regular series through the slice values.  The axes, slice
         values and products are (4, M) component rows.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 4)
-        x, v = pts[:, 0], pts[:, 1:].T
-        sq = v * v
-        y = np.sqrt(sq[0] + sq[1] + sq[2])
-        real = y <= AXIS_EPS * (1.0 + np.sqrt(x * x + sq[0] + sq[1] + sq[2]))
-        iq = np.zeros((4, len(pts)))
-        iq[1, real] = 1.0
-        iq[1:, ~real] = v[:, ~real] / y[~real]
-        z = np.empty(len(pts), dtype=complex)
-        z.real = x
-        z.imag = y
+        z, iq = _slice_coords_rows(pts.T)
         fz = _frame_rows(*self.eval_components(z), self.frame)
         fzbar = _frame_rows(*self.eval_components(z.conjugate()), self.frame)
         iq_u = _hamilton_rows(iq, self.frame[1], np.empty_like(iq))
@@ -418,7 +386,6 @@ def parse_series(text: str) -> SliceSeries:
                                 % (deg, deg + 1, len(lines) - 1))
     coeffs = np.zeros((deg + 1, 4))
     seen = set()
-    row = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -441,7 +408,6 @@ def parse_series(text: str) -> SliceSeries:
         if not np.all(np.isfinite(coeffs[n])):
             raise SeriesFormatError(lineno, "non-finite coefficient on line %r" % raw)
         seen.add(n)
-        row += 1
     missing = sorted(set(range(deg + 1)) - seen)
     if missing:
         raise SeriesFormatError(len(lines) + 1, "missing degrees %s" % missing)

@@ -8,15 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicefock import (
-    AXIS_EPS,
     I,
     J,
     K,
     ONE,
     Quaternion,
-    axis,
-    compose_basis,
-    decompose_basis,
     orthogonal_unit,
     slice_coords,
 )
@@ -110,23 +106,27 @@ def test_inverse_of_zero_raises():
         Quaternion().inverse()
 
 
+def axis(q: Quaternion) -> Quaternion:
+    return slice_coords(q).axis
+
+
 def test_axis_examples():
     assert axis(3.0 * J) == J
     a = axis(Quaternion(1, 1, 1, 1))
     s = 1.0 / math.sqrt(3.0)
     assert abs(a - Quaternion(0, s, s, s)) < 1e-15
     assert abs(a * a + ONE) < 1e-15
-    # (near-)real values fall back to the canonical unit
+    # real values fall back to the canonical unit, whatever the sign of zero
     assert axis(Quaternion.real(5.0)) == I
-    assert axis(Quaternion(1.0, AXIS_EPS / 10, 0, 0)) == I
+    assert axis(Quaternion(5.0, -0.0, 0.0, -0.0)) == I
+    # every nonzero imaginary part has its own axis, however small
+    assert axis(Quaternion(1.0, 1e-14, 0, 0)) == I
+    assert axis(Quaternion(3.0, 0, 1e-13, 0)) == J
 
 
 @settings(max_examples=200, deadline=None)
 @given(quaternions)
 def test_axis_squares_to_minus_one(q):
-    y = abs(q.imag)
-    if y <= AXIS_EPS * (1 + abs(q)):
-        return
     u = axis(q)
     assert abs(u * u + ONE) <= 1e-12
 
@@ -138,13 +138,31 @@ def test_slice_coords_roundtrip(q):
     assert y >= 0.0
     assert abs(u) == pytest.approx(1.0, abs=1e-12)
     back = slice_coords(q).reassemble()
-    scale = 1.0 + abs(q)
-    if y > AXIS_EPS * scale:
-        assert abs(back - q) <= 1e-15 * scale
-    else:
-        # inside the fallback band the canonical axis may redirect an
-        # imaginary part as large as the threshold itself
-        assert abs(back - q) <= 2.0 * AXIS_EPS * scale
+    assert abs(back - q) <= 1e-15 * (1.0 + abs(q))
+
+
+# the points where a near-real snapping band, or a |v| taken as sqrt(v.v),
+# puts q on the wrong slice: v.v underflows (a, b), overflows (c), or Im q
+# is small next to Re q (d)
+EDGE_POINTS = (Quaternion(0, 1e-170, 0, 0), Quaternion(0, 1e-200, 1e-200, 0),
+               Quaternion(1e160, 1e160, -1e160, 1e160), Quaternion(3, 0, 1e-13, 0))
+
+
+@pytest.mark.parametrize("q", EDGE_POINTS, ids=("tiny-i", "tiny-i+j", "huge", "small-j"))
+def test_slice_coords_reassemble_at_the_edges(q):
+    x, y, u = slice_coords(q)
+    assert x == q.x0 and y > 0.0
+    assert abs(abs(u) - 1.0) <= 2 * np.finfo(float).eps
+    back = slice_coords(q).reassemble().as_array()
+    assert np.all(np.abs(back - q.as_array()) <= 4 * np.finfo(float).eps * np.abs(q.as_array()))
+
+
+def test_slice_coords_nan_imaginary_part_gives_nan_y():
+    for q in (Quaternion(1.0, math.nan, 0, 0), Quaternion(0, 0.5, 0, math.nan)):
+        c = slice_coords(q)
+        assert math.isnan(c.y)
+        back = c.reassemble()
+        assert back.x0 == q.x0 and all(math.isnan(t) for t in back.imag_vector)
 
 
 def test_orthogonal_unit_canonical_choices():
@@ -187,43 +205,42 @@ def test_orthogonal_unit_anticommutes(rng):
         assert abs(u * v + v * u) <= 1e-14
 
 
+def to_frame_one(a: Quaternion, u: Quaternion) -> tuple:
+    """Complex coordinates (z, w) of a = z + w v over slice_frame(u) = (1, u, v, uv)."""
+    z, w = to_frame(a.as_array(), slice_frame(u))
+    return complex(z), complex(w)
+
+
+def from_frame_one(z: complex, w: complex, u: Quaternion) -> Quaternion:
+    return Quaternion.from_components(from_frame(z, w, slice_frame(u)))
+
+
 def test_decompose_basis_examples():
-    z, w = decompose_basis(Quaternion(1, 1, 1, 1), I, J)
-    assert z == 1 + 1j and w == 1 + 1j
-    z, w = decompose_basis(Quaternion(), I, J)
-    assert z == 0 and w == 0
-    z, w = decompose_basis(J, I, J)
-    assert z == 0 and w == 1
-
-
-def test_decompose_basis_rejects_bad_pairs():
-    with pytest.raises(ValueError):
-        decompose_basis(ONE, I, I)
-    with pytest.raises(ValueError):
-        decompose_basis(ONE, I, Quaternion(0, 0, 0.6, 0.8) + Quaternion(0, 0.1, 0, 0))
-    # compose_basis validates the same pair: u = v, and a non-unit v
-    with pytest.raises(ValueError, match="orthogonal"):
-        compose_basis(1 + 2j, 3 + 4j, I, I)
-    with pytest.raises(ValueError, match="unit norm"):
-        compose_basis(1 + 2j, 3 + 4j, I, Quaternion(0, 0, 2, 0))
+    # slice_frame(i) = (1, i, j, k)
+    assert to_frame_one(Quaternion(1, 1, 1, 1), I) == (1 + 1j, 1 + 1j)
+    assert to_frame_one(Quaternion(), I) == (0, 0)
+    assert to_frame_one(J, I) == (0, 1)
+    assert to_frame_one(Quaternion(1, 2, 3, 4), I) == (1 + 2j, 3 + 4j)
 
 
 def test_decompose_compose_roundtrip(rng):
     for _ in range(300):
         u = random_unit_imaginary(rng)
-        v = orthogonal_unit(u)
         a = Quaternion.from_components(rng.standard_normal(4) * 3)
-        z, w = decompose_basis(a, u, v)
-        back = compose_basis(z, w, u, v)
+        z, w = to_frame_one(a, u)
+        back = from_frame_one(z, w, u)
         assert abs(back - a) <= 1e-14 * (1.0 + abs(a))
+        # a = (z.re + z.im u) + (w.re + w.im u) v, with v = orthogonal_unit(u)
+        v = orthogonal_unit(u)
+        direct = (z.real + z.imag * u) + (w.real + w.imag * u) * v
+        assert abs(direct - a) <= 1e-14 * (1.0 + abs(a))
 
 
 def test_decompose_compose_coordinate_axes_bit_exact(rng):
     for _ in range(100):
         a = Quaternion.from_components(rng.standard_normal(4) * 3)
         for u in (I, J, K):
-            v = orthogonal_unit(u)
-            assert compose_basis(*decompose_basis(a, u, v), u, v) == a
+            assert from_frame_one(*to_frame_one(a, u), u) == a
 
 
 def test_slice_frame_rows_and_validation():
@@ -248,10 +265,6 @@ def test_frame_vectorized_roundtrip(rng):
         assert c1.shape == c2.shape == comps.shape[:-1]
         back = from_frame(c1, c2, frame)
         assert np.abs(back - comps).max() <= 1e-15 * (1.0 + np.abs(comps).max())
-        # the stacked transform is the scalar one applied row by row
-        v = orthogonal_unit(u)
-        for row, z, w in zip(comps[2], c1[2], c2[2]):
-            assert decompose_basis(Quaternion.from_components(row), u, v) == (z, w)
     for u in (I, J, K):
         frame = slice_frame(u)
         assert np.array_equal(from_frame(*to_frame(comps, frame), frame), comps)
@@ -259,12 +272,11 @@ def test_frame_vectorized_roundtrip(rng):
 
 def test_decompose_is_linear(rng):
     u = random_unit_imaginary(rng)
-    v = orthogonal_unit(u)
     a = Quaternion.from_components(rng.standard_normal(4))
     b = Quaternion.from_components(rng.standard_normal(4))
-    za, wa = decompose_basis(a, u, v)
-    zb, wb = decompose_basis(b, u, v)
-    zs, ws = decompose_basis(a + b, u, v)
+    za, wa = to_frame_one(a, u)
+    zb, wb = to_frame_one(b, u)
+    zs, ws = to_frame_one(a + b, u)
     assert abs(zs - (za + zb)) < 1e-13
     assert abs(ws - (wa + wb)) < 1e-13
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicefock import (
-    AXIS_EPS,
     DEGREE_CAP,
     I,
     J,
@@ -343,7 +342,7 @@ def test_extend_many_matches_scalar_eval(degree, rng):
     points *= (0.98 * rng.uniform(size=40) / np.linalg.norm(points, axis=1))[:, None]
     points[:6, 1:] = 0.0                                      # real points, y = 0
     points[6:12, 1:] = u.imag_vector * rng.uniform(-1.0, 1.0, (6, 1))  # on the slice of u
-    points[12] = [1e-15, 1e-16, 0.0, 0.0]                     # below the real-point threshold
+    points[12] = [1e-15, 1e-16, 0.0, 0.0]                     # a tiny imaginary part
     got = pair.extend_many(points)
     assert got.shape == points.shape
     for q, value in zip(points, got):
@@ -351,6 +350,34 @@ def test_extend_many_matches_scalar_eval(degree, rng):
         assert abs(Quaternion.from_components(value) - want) <= 1e-12
     single = pair.extend(Quaternion.from_components(points[20]))
     assert np.array_equal(single.as_array(), got[20])
+
+
+# points where v.v underflows, where it overflows, and where Im q is small next
+# to Re q; every one lies on its own slice, not on the slice of i
+EDGE_POINTS = (Quaternion(0, 1e-170, 0, 0), Quaternion(0, 1e-200, 1e-200, 0),
+               Quaternion(1e160, 1e160, -1e160, 1e160), Quaternion(3, 0, 1e-13, 0))
+
+
+@pytest.mark.parametrize("q", EDGE_POINTS, ids=("tiny-i", "tiny-i+j", "huge", "small-j"))
+def test_extend_and_eval_many_at_the_edges(q, rng):
+    # f(q) = q at every point; a degree-10 series except at 1e160, where
+    # |q|^10 overflows every double.  Horner's bound with |q| <= 2 max |q_k|,
+    # since |q|^2 itself overflows at 1e160
+    series = [SliceSeries.monomial(1)]
+    if abs(q.x0) < 1e100:
+        series.append(make_series(rng, 10))
+    points = np.stack([q.as_array()] * 3)
+    for f in series:
+        want = f.eval(q).as_array()
+        weights = np.polynomial.polynomial.polyval(2.0 * np.abs(points).max(),
+                                                   np.linalg.norm(f.coeffs, axis=1))
+        tol = 8.0 * (f.degree + 1) * np.finfo(float).eps * weights
+        assert np.all(np.abs(f.eval_many(points) - want) <= tol)
+        for u in (I, J, random_unit_imaginary(rng)):
+            pair = f.split(u)
+            got = pair.extend_many(points)
+            assert np.all(np.abs(got - want) <= tol)
+            assert np.array_equal(pair.extend(q).as_array(), got[0])
 
 
 # -- bit identity with the earlier (M, 4) formulas --------------------------------
@@ -365,13 +392,17 @@ def horner_stack(f: SliceSeries, points) -> np.ndarray:
     return acc
 
 
+# the near-real band of the earlier formula: Im q below it took the axis i
+STACK_AXIS_EPS = 1e-13
+
+
 def extend_stack(pair, points) -> np.ndarray:
     """extend_many with (M, 4) arrays, np.stack products and broadcast frame rows."""
     pts = np.asarray(points, dtype=float).reshape(-1, 4)
     x, v = pts[:, 0], pts[:, 1:]
     sq = v * v
     y = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-    real = y <= AXIS_EPS * (1.0 + np.sqrt(x * x + sq[:, 0] + sq[:, 1] + sq[:, 2]))
+    real = y <= STACK_AXIS_EPS * (1.0 + np.sqrt(x * x + sq[:, 0] + sq[:, 1] + sq[:, 2]))
     iq = np.zeros_like(pts)
     iq[real, 1] = 1.0
     iq[~real, 1:] = v[~real] / y[~real, None]
