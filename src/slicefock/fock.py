@@ -47,8 +47,10 @@ the bins do.  Every p = 2 Gaussian integral is therefore a sum over an
 n_r x (degree + 1) ring table, for any degree:
 
   * Gram diagonal: gamma_m = n_theta sum_r lambda_r r^(2m);
-  * projection moment n: sum_r lambda_r r^n spectrum[r, n mod n_theta], from
-    one FFT over the angles of each ring of the frame samples;
+  * moment n of grid samples g, M_n = integral conj(z)^n g dlambda:
+    sum_r lambda_r r^n spectrum[r, n mod n_theta], one FFT over the angles
+    of each ring of the frame samples (``_moments``); the projection is
+    c_n M_n, the inner product sum_n conj(a_n) M_n(g) for f = sum z^n a_n;
   * p = 2 slice norm: by Parseval, sum_theta |F1|^2 + |F2|^2 = n_theta
     sum_{c,m} T[c,r,m]^2 with T[c,r,m] = sum over n = m mod n_theta of
     a_{n,c} r^n, and sum_theta B = 0 exactly, since B pairs F1 with F2
@@ -70,8 +72,8 @@ sums over angles before radii, so the ring sums of |f|^p serve every alpha:
   * rows are filled, powered and summed in blocks of ``_BLOCK_ROWS`` slices
     (1 MB on the default grid), which stay in L2 cache.
 
-The single-slice paths (inner product, grid samples, projection) split f
-as F + G v in the frame (1, u, v, uv) of ``quaternions.slice_frame`` instead,
+The single-slice paths (grid samples, projection, the inner product's g)
+split f as F + G v in the frame (1, u, v, uv) of ``quaternions.slice_frame``
 through ``to_frame``/``from_frame``: two complex Horner rows, not four.
 
 All reductions are plain ordered numpy sums and elementwise products over
@@ -88,7 +90,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .quadrature import PolarGrid, build_polar_grid, slice_sample
-from .quaternions import ONE, Quaternion, check_unit_imaginary, from_frame, slice_frame, to_frame
+from .quaternions import (ONE, Quaternion, check_unit_imaginary, from_frame, hamilton, slice_frame,
+                          to_frame)
 from .series import SliceSeries, _horner
 
 __all__ = [
@@ -405,24 +408,33 @@ def fock_norm(f: SliceSeries, params: FockParams,
     return fock_norm_sup(f, params, grid).value
 
 
+def _moments(c1, c2, grid: PolarGrid, alpha: float, degree: int) -> np.ndarray:
+    """Moments M_n, n = 0..degree, of the samples c1 + c2 v at the grid nodes,
+    as frame pairs, shape (2, degree + 1): one FFT per ring (module docstring)."""
+    rows = np.stack([c1, c2]).reshape(2, grid.n_r, grid.n_theta)
+    spectrum = np.fft.fft(rows, axis=-1)
+    bins = np.arange(degree + 1) % grid.n_theta
+    powers = _ring_powers(grid.ring_weights(alpha), grid.r, degree)
+    return np.sum(spectrum[:, :, bins] * powers, axis=1)
+
+
 def inner_product(f: SliceSeries, g: SliceSeries, u: Quaternion, params: FockParams,
                   grid: Optional[PolarGrid] = None) -> Quaternion:
     """Gaussian-measure inner product of f and g on the slice of u.
 
-    Quadrature of conj(f(z)) g(z) against (alpha/pi) e^(-alpha|z|^2) dA.
+    The integral of conj(f(z)) g(z) against (alpha/pi) e^(-alpha|z|^2) dA.
     Conjugating the left argument makes the form right-linear in g and
     hermitian, which is the structure the p = 2 space carries; the p
-    parameter plays no role here.
+    parameter plays no role here.  It is sum_n conj(a_n) M_n(g) over the
+    coefficients a_n of f, with M_n the moments of g's grid samples that
+    ``projection_series`` reads (module docstring).
     """
     if grid is None:
         grid = build_grid(params)
-    lam = grid.gaussian_weights(params.alpha)
-    split_f = f.split(u)
-    f1, f2 = split_f.eval_components(grid.z)
-    g1, g2 = g.split(u).eval_components(grid.z)
-    a = np.sum((np.conj(f1) * g1 + f2 * np.conj(g2)) * lam)
-    b = np.sum((np.conj(f1) * g2 - f2 * np.conj(g1)) * lam)
-    return Quaternion.from_components(from_frame(a, b, split_f.frame))
+    pair = g.split(u)
+    moments = _moments(*pair.eval_components(grid.z), grid, params.alpha, f.degree)
+    terms = hamilton(f.conjugate().coeffs, from_frame(*moments, pair.frame))
+    return Quaternion.from_components(np.sum(terms, axis=0))
 
 
 def gram_table(params: FockParams, grid: Optional[PolarGrid] = None) -> np.ndarray:
@@ -493,8 +505,7 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     kernel paired on the left of the samples; the kernel hermiticity
     K(q, w) = conj(K(w, q)) makes this the adjoint-consistent order, and it
     keeps the output a genuine left series even for quaternion-valued samples.
-    The integral is sum_r lambda_r r^n spectrum[r, n mod n_theta], from one
-    FFT over the angles of each ring (module docstring).
+    The integral is the moment M_n of ``_moments``.
     """
     if grid is None:
         grid = build_grid(params)
@@ -505,11 +516,8 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
         raise ValueError("samples do not match the grid: %d values for %d nodes"
                          % (s.shape[0], grid.size))
     frame = slice_frame(u)
-    rows = np.stack(to_frame(s, frame)).reshape(2, grid.n_r, grid.n_theta)
-    spectrum = np.fft.fft(rows, axis=-1)
-    bins = np.arange(params.degree + 1) % grid.n_theta
-    powers = _ring_powers(grid.ring_weights(params.alpha), grid.r, params.degree)
-    a, b = np.sum(spectrum[:, :, bins] * powers, axis=1) * _kernel_weights(params, grid, corrected)
+    a, b = (_moments(*to_frame(s, frame), grid, params.alpha, params.degree)
+            * _kernel_weights(params, grid, corrected))
     return SliceSeries(from_frame(a, b, frame))
 
 

@@ -3,9 +3,9 @@
 The grid is a tensor product of Gauss-Legendre nodes in the radius (with
 the polar Jacobian folded into the weights) and equispaced angles with the
 trapezoid rule, which is exact for trigonometric polynomials of degree
-below the angle count.  Weights carry the plain Lebesgue area element;
-Gaussian-measure weights are derived on demand, once per ring, since the
-Gaussian depends on the radius alone.
+below the angle count.  Every node of a ring has the same weight, so the
+grid keeps one Lebesgue area weight per ring; Gaussian-measure weights are
+derived from it on demand, since the Gaussian depends on the radius alone.
 
 The slice sample is the one format of the sphere of unit imaginaries that
 the norm code reads: a cached, read-only (m, 4) array of quaternion
@@ -33,10 +33,9 @@ class PolarGrid:
     r_max: float
     n_r: int
     n_theta: int
-    r: np.ndarray            # radial nodes, shape (n_r,)
-    theta: np.ndarray        # angular nodes, shape (n_theta,)
-    z: np.ndarray            # complex nodes r*exp(i theta), flattened
-    area_weights: np.ndarray  # Lebesgue dA weights per node, flattened
+    r: np.ndarray          # radial nodes, shape (n_r,)
+    z: np.ndarray          # complex nodes r*exp(i theta), ring by ring, flattened
+    ring_area: np.ndarray  # Lebesgue dA weight of each node of ring r, shape (n_r,)
 
     @property
     def size(self) -> int:
@@ -45,16 +44,10 @@ class PolarGrid:
     def ring_weights(self, alpha: float) -> np.ndarray:
         """Weight lambda_r of (alpha/pi) exp(-alpha r^2) dA at each node of ring r,
         shape (n_r,): the one definition of the Gaussian weight."""
-        ring_area = self.area_weights[:: self.n_theta]
-        return ring_area * (alpha / math.pi) * np.exp(-alpha * self.r * self.r)
-
-    def gaussian_weights(self, alpha: float) -> np.ndarray:
-        """Weights of (alpha/pi) exp(-alpha |z|^2) dA at the nodes: ``ring_weights``
-        repeated over the angles of each ring."""
-        return np.repeat(self.ring_weights(alpha), self.n_theta)
+        return self.ring_area * (alpha / math.pi) * np.exp(-alpha * self.r * self.r)
 
     def gaussian_mass(self, alpha: float) -> float:
-        return float(np.sum(self.gaussian_weights(alpha)))
+        return float(self.n_theta * np.sum(self.ring_weights(alpha)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -73,16 +66,11 @@ def build_polar_grid(n_r: int, n_theta: int, r_max: float) -> PolarGrid:
     r = 0.5 * r_max * (x + 1.0)
     wr = 0.5 * r_max * w * r            # polar Jacobian r dr
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    wt = 2.0 * math.pi / n_theta
-    zz = r[:, None] * np.exp(1j * theta[None, :])
-    area = np.broadcast_to((wr * wt)[:, None], zz.shape)
-    r.flags.writeable = False
-    theta.flags.writeable = False
-    z = zz.ravel()
-    aw = np.ascontiguousarray(area.ravel())
-    z.flags.writeable = False
-    aw.flags.writeable = False
-    return PolarGrid(float(r_max), n_r, n_theta, r, theta, z, aw)
+    z = (r[:, None] * np.exp(1j * theta[None, :])).ravel()
+    ring_area = wr * (2.0 * math.pi / n_theta)
+    for a in (r, z, ring_area):
+        a.flags.writeable = False
+    return PolarGrid(float(r_max), n_r, n_theta, r, z, ring_area)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

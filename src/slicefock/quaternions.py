@@ -221,7 +221,8 @@ def _slice_coords_rows(q):
     Returns z = x + iy, shape (M,), and the unit-axis rows (0, I), shape
     (4, M).  I is Im q / y wherever y > 0, and the canonical i where y is 0
     or NaN (z carries the NaN).  Where v.v under- or overflows (v = Im q),
-    y is s |v/s| and I is (v/s) / |v/s|, with s the largest |v_k|.  This is
+    y is s |v/s| and I is (v/s) / |v/s|, with s the largest |v_k| (at s = inf,
+    y is inf and I points along the signs of the infinite v_k).  This is
     the one rule for the slice a point sits on: ``slice_coords``,
     ``SliceSeries.eval_many`` and ``SplitPair.extend_many`` all call it.
     """
@@ -231,11 +232,12 @@ def _slice_coords_rows(q):
     far = (y < _NORM_SQ_MIN) | (y == np.inf)
     np.sqrt(y, out=y)
     axis = np.zeros((4, len(y)))
-    np.divide(v, y, out=axis[1:], where=y > 0)
+    np.divide(v, y, out=axis[1:], where=(y > 0) & ~far)
     if far.any():
         w = v[:, far]
         s = np.abs(w).max(axis=0)
-        np.divide(w, s, out=w, where=s > 0)
+        w = np.where(s == np.inf, np.copysign(np.isinf(w), w), w)
+        np.divide(w, s, out=w, where=(s > 0) & (s < np.inf))
         n = np.sqrt(_norm_sq(w))
         y[far] = s * n
         axis[1:, far] = np.divide(w, n, out=np.zeros_like(w), where=n > 0)

@@ -40,6 +40,11 @@ def assert_within_horner_bound(f: SliceSeries, got, want, points, c: float = 4.0
     assert np.all(err <= horner_tolerance(f, points, c))
 
 
+def node_area(grid) -> np.ndarray:
+    """Lebesgue dA weight at each node of the flattened grid, the ring weight repeated."""
+    return np.repeat(grid.ring_area, grid.n_theta)
+
+
 def ball_point(rng: np.random.Generator, r_scale: float = 0.95) -> Quaternion:
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)

@@ -71,9 +71,9 @@ def test_criterion_01_representation_formula():
         pair = f.split(random_unit_imaginary(rng))
         pts = rng.standard_normal((100, 4))
         pts *= (0.98 * rng.uniform(size=100) ** 0.25 / np.linalg.norm(pts, axis=1))[:, None]
-        for row in pts:
+        for row, value in zip(pts, pair.extend_many(pts)):
             q = Quaternion.from_components(row)
-            errors.append(abs(pair.extend(q) - f.eval(q)))
+            errors.append(abs(Quaternion.from_components(value) - f.eval(q)))
     worst = _worst(errors)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ from slicefock import (
     slice_sample,
 )
 from slicefock.fock import _power, slice_abs_sq, slice_norms, stem_norms
-from slicefock.quaternions import random_unit_imaginary, slice_frame, to_frame
+from slicefock.quaternions import from_frame, random_unit_imaginary, slice_frame, to_frame
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
-from conftest import ball_point, horner_tolerance, make_series
+from conftest import ball_point, horner_tolerance, make_series, node_area
 
 
 # -- parameter validation -------------------------------------------------------
@@ -149,7 +150,7 @@ def _split_abs_sq(f, u, grid):
 def _reference_norm(abs_sq, grid, alpha, p):
     """The weighted slice p-norm, reduced node by node as its definition reads."""
     weighted = (abs_sq * np.exp(-alpha * np.abs(grid.z) ** 2)) ** (0.5 * p)
-    integral = float(np.sum(weighted * grid.area_weights))
+    integral = float(np.sum(weighted * node_area(grid)))
     return (alpha * p / (2.0 * math.pi) * integral) ** (1.0 / p)
 
 
@@ -312,7 +313,7 @@ def test_stem_norms_p2_ring_table_matches_rows_past_n_theta(domain, rng):
         majorant = np.polynomial.polynomial.polyval(np.abs(grid.z),
                                                     np.linalg.norm(f.coeffs, axis=1))
         for (p, a) in pairs:
-            scale = float(np.sum(grid.gaussian_weights(a) * majorant * majorant))
+            scale = float(np.sum(_node_gaussian_weights(grid, a) * majorant * majorant))
             tol = 16 * (degree + 1) * eps * scale
             assert np.all(np.abs(got[(p, a)] ** 2 - want[(p, a)] ** 2) <= tol)
             assert np.all(got[(p, a)] == got[(p, a)][0])
@@ -407,6 +408,51 @@ def test_inner_product_consistent_with_p2_norm(rng, fast_params):
     assert abs(ip.x0 - n * n) <= 1e-10 * (1.0 + n * n)
 
 
+def _node_sum_inner_product(f, g, u, params, grid):
+    """Reference: conj(f) g at each node in the frame of u, summed against the
+    Gaussian weight of each node."""
+    lam = _node_gaussian_weights(grid, params.alpha)
+    split_f = f.split(u)
+    f1, f2 = split_f.eval_components(grid.z)
+    g1, g2 = g.split(u).eval_components(grid.z)
+    a = np.sum((np.conj(f1) * g1 + f2 * np.conj(g2)) * lam)
+    b = np.sum((np.conj(f1) * g2 - f2 * np.conj(g1)) * lam)
+    return from_frame(a, b, split_f.frame)
+
+
+def _gram_form(f, g, gram, n_theta):
+    """Closed form sum_{n,m} conj(a_n) b_m gamma_((n+m)/2) over n = m mod n_theta.
+
+    The grid integral of conj(z)^n z^m is the ring sum of r^(n+m) times the
+    angular sum of e^(i(m-n)theta), which is n_theta where n_theta divides
+    m - n and 0 elsewhere; below n_theta only n = m is left, sum_n conj(a_n) b_n gamma_n.
+    """
+    total = Quaternion()
+    for n in range(f.degree + 1):
+        for m in range(n % n_theta, g.degree + 1, n_theta):
+            total = total + f.coefficient(n).conjugate() * g.coefficient(m) * gram[(n + m) // 2]
+    return total.as_array()
+
+
+@pytest.mark.parametrize("domain, n_r, n_theta, max_degree", [
+    ("disk", 64, 256, 10), ("plane", 64, 256, 10),
+    ("disk", 16, 8, 12), ("plane", 16, 8, 12)])   # degree >= n_theta: conj(z)^n aliases
+def test_inner_product_matches_gram_form_and_node_sum(domain, n_r, n_theta, max_degree, rng):
+    params = FockParams(domain=domain, n_r=n_r, n_theta=n_theta)
+    grid = build_grid(params)
+    gram = gram_table(replace(params, degree=max_degree), grid)
+    for _ in range(10):
+        f, g = (make_series(rng, int(rng.integers(0, max_degree + 1))) for _ in range(2))
+        u = random_unit_imaginary(rng)
+        got = inner_product(f, g, u, params, grid).as_array()
+        # |<f, g>| <= ||f|| ||g||, with ||f||^2 = sum_n |a_n|^2 gamma_n
+        norm_f, norm_g = (math.sqrt(np.sum(np.sum(h.coeffs ** 2, axis=1) * gram[: h.degree + 1]))
+                          for h in (f, g))
+        tol = 1e-12 * (1.0 + norm_f * norm_g)
+        assert np.linalg.norm(got - _gram_form(f, g, gram, n_theta)) <= tol
+        assert np.linalg.norm(got - _node_sum_inner_product(f, g, u, params, grid)) <= tol
+
+
 def test_gram_table_is_a_read_only_diagonal():
     params = FockParams(degree=5, n_r=16, n_theta=32)
     diag = gram_table(params)
@@ -419,7 +465,7 @@ def test_gram_table_is_a_read_only_diagonal():
 
 def _node_gaussian_weights(grid, alpha):
     """(alpha/pi) e^(-alpha |z|^2) dA from each node's own |z|, not from its ring."""
-    return grid.area_weights * (alpha / math.pi) * np.exp(-alpha * np.abs(grid.z) ** 2)
+    return node_area(grid) * (alpha / math.pi) * np.exp(-alpha * np.abs(grid.z) ** 2)
 
 
 @pytest.mark.parametrize("domain", ["disk", "plane"])

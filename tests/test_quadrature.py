@@ -26,7 +26,7 @@ from slicefock.reference import (
     monomial_norm_reference,
 )
 
-from conftest import assert_bit_identical
+from conftest import assert_bit_identical, node_area
 
 
 # -- the slow reference integrals are validated against scipy ----------------
@@ -95,14 +95,15 @@ def test_grid_gaussian_mass_plane_mode():
 def test_angular_rule_kills_harmonics():
     grid = build_polar_grid(16, 64, 1.0)
     for k in (1, 2, 3, 7):
-        val = np.sum(grid.z ** k * grid.area_weights)
+        val = np.sum(grid.z ** k * node_area(grid))
         assert abs(val) <= 1e-13
 
 
 def test_gaussian_second_moment_large_radius():
     # moment of |z|^2 under the Gaussian measure approaches 1/alpha
     grid = build_polar_grid(96, 128, 8.0)
-    val = float(np.sum(np.abs(grid.z) ** 2 * grid.gaussian_weights(1.0)))
+    r_sq = np.abs(grid.z) ** 2
+    val = float(np.sum(r_sq * node_area(grid) * np.exp(-r_sq) / math.pi))
     assert abs(val - 1.0) <= 1e-10
 
 
@@ -129,10 +130,12 @@ def test_grid_cache_is_bounded():
 
 def test_grid_weights_are_positive_and_immutable():
     grid = build_polar_grid(8, 8, 2.0)
-    assert np.all(grid.area_weights > 0)
-    assert abs(np.sum(grid.area_weights) - math.pi * 4.0) < 1e-10
+    assert np.all(grid.ring_area > 0)
+    assert abs(np.sum(node_area(grid)) - math.pi * 4.0) < 1e-10
     with pytest.raises(ValueError):
         grid.z[0] = 0.0
+    with pytest.raises(ValueError):
+        grid.ring_area[0] = 0.0
 
 
 # -- gram diagonal -------------------------------------------------------------

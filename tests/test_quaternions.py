@@ -165,6 +165,20 @@ def test_slice_coords_nan_imaginary_part_gives_nan_y():
         assert back.x0 == q.x0 and all(math.isnan(t) for t in back.imag_vector)
 
 
+@pytest.mark.parametrize("q, axis", [
+    (Quaternion(0, math.inf, 0, 0), I),
+    (Quaternion(0, -math.inf, 0, 0), -I),
+    (Quaternion(1, math.inf, -math.inf, 0), Quaternion(0, 1, -1, 0) / math.sqrt(2.0)),
+    (Quaternion(-2, 3.0, 1e300, math.inf), K),
+])
+def test_slice_coords_infinite_imaginary_part(q, axis):
+    # y is inf and the axis follows the signs of the infinite components, with no
+    # inf / inf (a RuntimeWarning, an error under the test settings)
+    c = slice_coords(q)
+    assert c.x == q.x0 and c.y == math.inf
+    assert abs(c.axis - axis) <= 2 * np.finfo(float).eps
+
+
 def test_orthogonal_unit_canonical_choices():
     assert orthogonal_unit(I) == J
     assert orthogonal_unit(J) == K
