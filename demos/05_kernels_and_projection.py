@@ -23,9 +23,8 @@ from slicefock import (
     SliceSeries,
     build_grid,
     inner_product,
-    kernel_eval,
     kernel_series,
-    project_T,
+    projection_series,
     sample_on_grid,
 )
 from slicefock.reference import lower_incomplete_gamma
@@ -34,13 +33,13 @@ q = Quaternion(0.3, 0.4, -0.2, 0.1)
 w = Quaternion(0.5, -0.1, 0.3, 0.0)
 
 plane = FockParams(domain="plane", radius=6.5, degree=40)
-print("kernel(q, w)           =", kernel_eval(q, w, plane).to_text())
-print("conj(kernel(w, q))     =", kernel_eval(w, q, plane).conjugate().to_text())
+print("kernel(q, w)           =", kernel_series(w, plane).eval(q).to_text())
+print("conj(kernel(w, q))     =", kernel_series(q, plane).eval(w).conjugate().to_text())
 
 disk = FockParams(domain="disk", degree=24)
 print("\non the unit disk the corrected kernel replaces factorial weights")
 print("with measured Gram entries; at w = 0 only the constant term is left:")
-print("corrected(q, 0) =", kernel_eval(q, Quaternion(), disk, corrected=True).to_text(),
+print("corrected(q, 0) =", kernel_series(Quaternion(), disk, corrected=True).eval(q).to_text(),
       " = 1/(1 - e^-1) =", 1.0 / (1.0 - math.exp(-1.0)))
 
 # Projection of sampled values back onto a series: on a large plane
@@ -49,7 +48,7 @@ grid = build_grid(plane)
 for m in (1, 4, 8):
     mono = SliceSeries.monomial(m)
     samples = sample_on_grid(mono, I, grid)
-    err = abs(project_T(samples, q, I, plane) - mono.eval(q))
+    err = abs(projection_series(samples, I, plane).eval(q) - mono.eval(q))
     print("plane radius 6.5: |T(q^%d) - q^%d| = %.2e" % (m, m, err))
 
 # The corrected kernel reproduces exactly on the disk, where the
@@ -57,7 +56,7 @@ for m in (1, 4, 8):
 gridd = build_grid(disk)
 mono = SliceSeries.monomial(5)
 samples = sample_on_grid(mono, I, gridd)
-err = abs(project_T(samples, q, I, disk, corrected=True) - mono.eval(q))
+err = abs(projection_series(samples, I, disk, corrected=True).eval(q) - mono.eval(q))
 print("unit disk, corrected kernel: |T(q^5) - q^5| = %.2e" % err)
 
 # The name "reproducing" is literal: pairing any series against the
@@ -78,7 +77,7 @@ print("\nradius-4 truncation: measured deficit vs predicted Gaussian tail")
 for m in (2, 5, 8):
     mono = SliceSeries.monomial(m)
     samples = sample_on_grid(mono, I, grids)
-    got = project_T(samples, q, I, small)
+    got = projection_series(samples, I, small).eval(q)
     want = mono.eval(q)
     predicted = 1.0 - lower_incomplete_gamma(m + 1, 16.0) / math.factorial(m)
     measured = abs(got - want) / abs(want)

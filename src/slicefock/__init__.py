@@ -35,14 +35,11 @@ from .fock import (
     FockParams,
     SupNorm,
     build_grid,
-    fock_norm,
     fock_norm_slice,
     fock_norm_sup,
     gram_table,
     inner_product,
-    kernel_eval,
     kernel_series,
-    project_T,
     projection_series,
     sample_on_grid,
 )
@@ -65,8 +62,8 @@ __all__ = [
     "pointwise_star_residual", "read_series", "write_series",
     "PolarGrid", "build_polar_grid", "fibonacci_sphere", "slice_sample",
     "FockParams", "SupNorm", "build_grid",
-    "fock_norm", "fock_norm_slice", "fock_norm_sup", "gram_table", "inner_product",
-    "kernel_eval", "kernel_series", "project_T", "projection_series", "sample_on_grid",
+    "fock_norm_slice", "fock_norm_sup", "gram_table", "inner_product",
+    "kernel_series", "projection_series", "sample_on_grid",
     "CheckResult", "RunConfig", "random_series", "render_csv", "render_json",
     "run_suite", "write_reports", "DEFAULT_CHECKS", "REGISTRY",
     "__version__",

@@ -30,7 +30,7 @@ import numpy as np
 from . import reference
 from .fock import (
     build_grid,
-    fock_norm,
+    fock_norm_sup,
     gram_table,
     inner_product,
     projection_series,
@@ -94,10 +94,6 @@ def _ball_points(rng: np.random.Generator, n: int, r_scale: float = 0.98) -> np.
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     radii = r_scale * rng.uniform(size=n) ** 0.25
     return v * radii[:, None]
-
-
-def _ball_point(rng: np.random.Generator, r_scale: float = 0.98) -> Quaternion:
-    return Quaternion.from_components(_ball_points(rng, 1, r_scale)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +177,12 @@ def _check_star_pointwise(config) -> CheckResult:
     for trial in range(500):
         g = random_series(rng, 4)
         if trial < 50:
-            q = _ball_point(rng)
+            q = Quaternion.from_components(_ball_points(rng, 1)[0])
             lin = SliceSeries.from_quaternions([-q, ONE])
             f = lin.star(random_series(rng, 3))
         else:
             f = random_series(rng, 4)
-            q = _ball_point(rng)
+            q = Quaternion.from_components(_ball_points(rng, 1)[0])
         errors.append(pointwise_star_residual(f, g, q))
     return _outcome(np.max(errors), 1e-10)
 
@@ -342,8 +338,8 @@ def _check_dilation(config) -> CheckResult:
     monotone = True
     for _ in range(50):
         f = random_series(rng, 10)
-        base = fock_norm(f, config, grid)
-        tails = [fock_norm(f.dilate(r) - f, config, grid) for r in radii]
+        base = fock_norm_sup(f, config, grid).value
+        tails = [fock_norm_sup(f.dilate(r) - f, config, grid).value for r in radii]
         monotone = monotone and all(b <= a * (1.0 + 1e-12) for a, b in zip(tails, tails[1:]))
         errors.append((tails[-1] / base) ** config.p)
     return _outcome(np.max(errors), 1e-3, also=monotone,
@@ -374,7 +370,7 @@ def _check_poly_density(config) -> CheckResult:
     rng = _rng_for(config, "poly-density")
     grid = build_grid(config)
     f = random_series(rng, 20)
-    tails = [fock_norm(f - f.truncate(m), config, grid) for m in range(21)]
+    tails = [fock_norm_sup(f - f.truncate(m), config, grid).value for m in range(21)]
     monotone = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(tails, tails[1:]))
     return _outcome(tails[-1], 1e-6, also=monotone,
                     note="tail norms are nonincreasing" if monotone

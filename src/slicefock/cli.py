@@ -25,7 +25,7 @@ import argparse
 import sys
 
 from .checks import REGISTRY
-from .fock import fock_norm_slice, fock_norm_sup, gram_table, kernel_eval
+from .fock import fock_norm_slice, fock_norm_sup, gram_table, kernel_series
 from .harness import RunConfig, render_csv, render_json, run_suite, write_reports
 from .quaternions import I, Quaternion
 from .reference import monomial_gram_reference
@@ -161,8 +161,8 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     params = _build_config(args)
     q = _parse_point(args.q, "kernel point q")
     w = _parse_point(args.w, "kernel point w")
-    a = kernel_eval(q, w, params)
-    b = kernel_eval(q, w, params, corrected=True)
+    a = kernel_series(w, params).eval(q)
+    b = kernel_series(w, params, corrected=True).eval(q)
     print("kernel:     %s" % a.to_text())
     print("corrected:  %s" % b.to_text())
     print("abs-diff:   %.17g" % abs(a - b))

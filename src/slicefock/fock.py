@@ -16,8 +16,8 @@ with c_n = alpha^n / n!, the reciprocal of ||q^n||^2 on the whole plane
 hyperholomorphic setting, 2014).  The domain-corrected kernel takes
 c_n = 1 / gamma_n from the measured Gram diagonal, so it reproduces
 monomials on either domain by construction.  ``_kernel_weights`` is the
-one definition of c_n behind ``kernel_series``, ``kernel_eval`` and
-``projection_series``.
+one definition of c_n behind ``kernel_series`` and ``projection_series``;
+K(q, w) itself is ``kernel_series(w, params).eval(q)``.
 
 Slice norms go through the stem function F = F1 + i F2 of the series
 (Ghiloni and Perotti, Slice regular functions on real alternative algebras,
@@ -102,14 +102,11 @@ __all__ = [
     "slice_norms",
     "stem_norms",
     "fock_norm_slice",
-    "fock_norm",
     "fock_norm_sup",
     "inner_product",
     "gram_table",
     "kernel_series",
-    "kernel_eval",
     "projection_series",
-    "project_T",
     "sample_on_grid",
 ]
 
@@ -403,11 +400,6 @@ def fock_norm_sup(f: SliceSeries, params: FockParams,
     return SupNorm(float(norms[best]), Quaternion.from_components(axes[best]))
 
 
-def fock_norm(f: SliceSeries, params: FockParams,
-              grid: Optional[PolarGrid] = None) -> float:
-    return fock_norm_sup(f, params, grid).value
-
-
 def _moments(c1, c2, grid: PolarGrid, alpha: float, degree: int) -> np.ndarray:
     """Moments M_n, n = 0..degree, of the samples c1 + c2 v at the grid nodes,
     as frame pairs, shape (2, degree + 1): one FFT per ring (module docstring)."""
@@ -484,12 +476,6 @@ def kernel_series(w: Quaternion, params: FockParams, *, corrected: bool = False)
     return SliceSeries(rows)
 
 
-def kernel_eval(q: Quaternion, w: Quaternion, params: FockParams, *,
-                corrected: bool = False) -> Quaternion:
-    """Reproducing kernel K(q, w) = sum_n q^n conj(w)^n c_n (``kernel_series``)."""
-    return kernel_series(w, params, corrected=corrected).eval(q)
-
-
 def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
                       grid: Optional[PolarGrid] = None, *,
                       corrected: bool = False) -> SliceSeries:
@@ -519,12 +505,6 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     a, b = (_moments(*to_frame(s, frame), grid, params.alpha, params.degree)
             * _kernel_weights(params, grid, corrected))
     return SliceSeries(from_frame(a, b, frame))
-
-
-def project_T(samples: np.ndarray, q: Quaternion, u: Quaternion, params: FockParams,
-              grid: Optional[PolarGrid] = None, *, corrected: bool = False) -> Quaternion:
-    """Value at q of the kernel projection of grid samples on the slice of u."""
-    return projection_series(samples, u, params, grid, corrected=corrected).eval(q)
 
 
 def sample_on_grid(f: SliceSeries, u: Quaternion, grid: PolarGrid) -> np.ndarray:

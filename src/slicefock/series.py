@@ -183,15 +183,20 @@ class SliceSeries:
         product gives I F2.  z and I come from the one slice-coordinate
         rule, ``quaternions._slice_coords_rows``; at real points I is i,
         where F2 is 0.
+
+        A point with a NaN or infinite component gets NaN in every component
+        once the degree is at least 1 (0 * inf is NaN in the sweep, and
+        silently so); a constant series gives its constant everywhere.
         """
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1:] != (4,):
             raise ValueError("points must form an (..., 4) component array")
         z, axis = _slice_coords_rows(pts.reshape(-1, 4).T)
-        f = _horner(self.coeffs, z)
         out = np.empty(pts.shape)
         rows = out.reshape(-1, 4).T
-        _hamilton_rows(axis, f.imag, rows)
+        with np.errstate(invalid="ignore"):
+            f = _horner(self.coeffs, z)
+            _hamilton_rows(axis, f.imag, rows)
         rows += f.real
         return out
 
@@ -201,17 +206,17 @@ class SliceSeries:
         """Star product: coefficient convolution c_n = sum_k a_k b_{n-k}.
 
         Truncates at min(deg f + deg g, cap) and records the dropped degrees
-        in the audit field of the result.
+        in the audit field of the result.  Every product a_i b_j is taken in
+        one broadcast ``hamilton`` call; the rows of a_i are added in order of i.
         """
         full = self.degree + other.degree
         n = min(full, cap)
+        rows = min(self.degree, n) + 1
+        prods = hamilton(self.coeffs[:rows, None], other.coeffs[None, : n + 1])
         out = np.zeros((n + 1, 4))
-        for i in range(self.degree + 1):
+        for i in range(rows):
             top = min(other.degree, n - i)
-            if top < 0:
-                break
-            prod = hamilton(self.coeffs[i][None, :], other.coeffs[: top + 1])
-            out[i: i + top + 1] += prod
+            out[i: i + top + 1] += prods[i, : top + 1]
         return SliceSeries(out, dropped=full - n)
 
     def conjugate(self) -> "SliceSeries":
@@ -310,15 +315,20 @@ class SplitPair:
         this reduces to plain evaluation; elsewhere it reproduces the unique
         slice-regular series through the slice values.  The axes, slice
         values and products are (4, M) component rows.
+
+        As in ``SliceSeries.eval_many``, a point with a NaN or infinite
+        component gets NaN in every component once the degree is at least 1,
+        without a warning; a constant pair gives its constant everywhere.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 4)
         z, iq = _slice_coords_rows(pts.T)
-        fz = _frame_rows(*self.eval_components(z), self.frame)
-        fzbar = _frame_rows(*self.eval_components(z.conjugate()), self.frame)
         iq_u = _hamilton_rows(iq, self.frame[1], np.empty_like(iq))
         one = ONE.as_array()[:, None]
-        mean = 0.5 * (_hamilton_rows(one - iq_u, fz, np.empty_like(iq))
-                      + _hamilton_rows(one + iq_u, fzbar, np.empty_like(iq)))
+        with np.errstate(invalid="ignore"):
+            fz = _frame_rows(*self.eval_components(z), self.frame)
+            fzbar = _frame_rows(*self.eval_components(z.conjugate()), self.frame)
+            mean = 0.5 * (_hamilton_rows(one - iq_u, fz, np.empty_like(iq))
+                          + _hamilton_rows(one + iq_u, fzbar, np.empty_like(iq)))
         return np.ascontiguousarray(mean.T)
 
 

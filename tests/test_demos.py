@@ -7,6 +7,7 @@ import pytest
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
+README = DEMO_DIR.parent / "README.md"
 
 
 def test_demo_gallery_is_present():
@@ -18,3 +19,12 @@ def test_demo_runs(script, capsys):
     runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip()
+
+
+def test_readme_quickstart_runs():
+    # the first python block after the "Library quickstart" heading; a README
+    # that names a deleted or renamed public function fails here
+    section = README.read_text().split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from slicefock import" in code
+    exec(compile(code, str(README), "exec"), {})

@@ -15,14 +15,11 @@ from slicefock import (
     Quaternion,
     SliceSeries,
     build_grid,
-    fock_norm,
     fock_norm_slice,
     fock_norm_sup,
     gram_table,
     inner_product,
-    kernel_eval,
     kernel_series,
-    project_T,
     projection_series,
     sample_on_grid,
     slice_sample,
@@ -124,13 +121,13 @@ def test_real_coefficient_sup_equals_slice_norm(rng):
     rows[:, 0] = rng.standard_normal(5)
     f = SliceSeries(rows)
     params = FockParams(n_slices=16)
-    assert fock_norm(f, params) == pytest.approx(fock_norm_slice(f, I, params), rel=1e-12)
+    assert fock_norm_sup(f, params).value == pytest.approx(fock_norm_slice(f, I, params), rel=1e-12)
 
 
 def test_sup_norm_requires_enough_slices(rng):
     f = make_series(rng, 3)
     with pytest.raises(ValueError):
-        fock_norm(f, FockParams(n_slices=4))
+        fock_norm_sup(f, FockParams(n_slices=4))
 
 
 def test_sup_norm_propagates_nan(rng):
@@ -539,21 +536,21 @@ def test_kernel_series_stops_at_the_first_underflowed_weight():
     assert np.all(np.isfinite(rows))
     nonzero = np.flatnonzero(rows[:, 0])
     assert nonzero[-1] < 200 and np.all(rows[nonzero[-1] + 1:] == 0.0)
-    val = kernel_eval(Quaternion.real(0.5), w, params)
+    val = kernel_series(w, params).eval(Quaternion.real(0.5))
     assert abs(val.x0 - math.exp(1.5)) <= 2 * math.ulp(math.exp(1.5))
     assert val.imag == Quaternion()
 
 
 def test_kernel_at_zero_weight():
     params = FockParams()
-    assert kernel_eval(ball_point(np.random.default_rng(1)), Quaternion(), params) == ONE
+    assert kernel_series(Quaternion(), params).eval(ball_point(np.random.default_rng(1))) == ONE
 
 
 def test_kernel_matches_complex_kernel_on_slice():
     params = FockParams(degree=40)
     z = Quaternion(0.4, 0.3, 0, 0)
     w = Quaternion(0.2, -0.5, 0, 0)
-    val = kernel_eval(z, w, params)
+    val = kernel_series(w, params).eval(z)
     expect = np.exp(params.alpha * complex(0.4, 0.3) * complex(0.2, -0.5).conjugate())
     assert abs(val.x0 - expect.real) < 1e-13
     assert abs(val.x1 - expect.imag) < 1e-13
@@ -565,14 +562,14 @@ def test_kernel_hermitian_symmetry(rng):
     for _ in range(20):
         q = ball_point(rng)
         w = ball_point(rng)
-        lhs = kernel_eval(q, w, params)
-        rhs = kernel_eval(w, q, params).conjugate()
+        lhs = kernel_series(w, params).eval(q)
+        rhs = kernel_series(q, params).eval(w).conjugate()
         assert abs(lhs - rhs) <= 1e-12
 
 
 def test_corrected_kernel_at_zero_weight():
     params = FockParams()
-    val = kernel_eval(Quaternion(0.3, 0.1, 0, 0), Quaternion(), params, corrected=True)
+    val = kernel_series(Quaternion(), params, corrected=True).eval(Quaternion(0.3, 0.1, 0, 0))
     assert abs(val - Quaternion.real(1.0 / (1.0 - math.exp(-1.0)))) < 1e-12
 
 
@@ -580,8 +577,8 @@ def test_corrected_kernel_symmetry(rng):
     params = FockParams(degree=20)
     for _ in range(10):
         q, w = ball_point(rng), ball_point(rng)
-        lhs = kernel_eval(q, w, params, corrected=True)
-        rhs = kernel_eval(w, q, params, corrected=True).conjugate()
+        lhs = kernel_series(w, params, corrected=True).eval(q)
+        rhs = kernel_series(q, params, corrected=True).eval(w).conjugate()
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
@@ -589,8 +586,8 @@ def test_corrected_kernel_approaches_exponential_kernel_in_plane_limit(rng):
     params = FockParams(domain="plane", radius=8.0, degree=24, n_r=96)
     for _ in range(5):
         q, w = ball_point(rng), ball_point(rng)
-        a = kernel_eval(q, w, params, corrected=True)
-        b = kernel_eval(q, w, params)
+        a = kernel_series(w, params, corrected=True).eval(q)
+        b = kernel_series(w, params).eval(q)
         assert abs(a - b) <= 1e-8
 
 
@@ -627,7 +624,7 @@ def test_projection_of_constant_is_constant_plane():
     grid = build_grid(params)
     samples = sample_on_grid(SliceSeries.constant(1.0), I, grid)
     for q in (Quaternion(), Quaternion(0.5, 0.2, -0.4, 0.1), Quaternion.real(0.9)):
-        assert abs(project_T(samples, q, I, params) - ONE) <= 1e-8
+        assert abs(projection_series(samples, I, params).eval(q) - ONE) <= 1e-8
 
 
 @pytest.mark.parametrize("m", [0, 1, 4, 8])
@@ -710,7 +707,7 @@ def test_projection_matches_the_moment_loop(domain, n_r, n_theta, degree, correc
 def test_projection_rejects_grid_mismatch(rng):
     params = FockParams()
     with pytest.raises(ValueError, match="do not match the grid"):
-        project_T(np.zeros((10, 4)), ONE, I, params)
+        projection_series(np.zeros((10, 4)), I, params).eval(ONE)
 
 
 @pytest.mark.parametrize("samples", [1.0, np.zeros(4), np.zeros(64), np.zeros((64, 3))])

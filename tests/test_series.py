@@ -116,7 +116,20 @@ def test_star_unit():
     assert np.array_equal(f.star(one).coeffs, f.coeffs)
 
 
-def test_star_truncation_audit():
+def scalar_star(f: SliceSeries, g: SliceSeries, cap: int) -> np.ndarray:
+    """Coefficients of f * g: one scalar Quaternion product per pair a_i b_(n-i),
+    added in order of i to a zero start, truncated at min(deg f + deg g, cap)."""
+    top = min(f.degree + g.degree, cap)
+    rows = []
+    for n in range(top + 1):
+        acc = Quaternion()
+        for i in range(max(0, n - g.degree), min(n, f.degree) + 1):
+            acc = acc + f.coefficient(i) * g.coefficient(n - i)
+        rows.append(acc.as_array())
+    return np.array(rows)
+
+
+def test_star_truncation_audit(rng):
     f = SliceSeries.monomial(40)
     g = SliceSeries.monomial(40)
     prod = f.star(g)
@@ -124,6 +137,15 @@ def test_star_truncation_audit():
     assert prod.dropped == 80 - DEGREE_CAP
     small = SliceSeries.monomial(3).star(SliceSeries.monomial(2))
     assert small.dropped == 0 and small.degree == 5
+    # random coefficients, bit for bit against the scalar convolution, with
+    # caps below, at and above deg f + deg g
+    for deg_f, deg_g, cap in ((40, 40, DEGREE_CAP), (7, 5, 9), (7, 5, 12), (7, 5, 30),
+                              (6, 0, 3), (0, 6, 3), (5, 8, 0), (3, 2, DEGREE_CAP)):
+        f, g = make_series(rng, deg_f), make_series(rng, deg_g)
+        prod = f.star(g, cap=cap)
+        assert prod.degree == min(deg_f + deg_g, cap)
+        assert prod.dropped == deg_f + deg_g - prod.degree
+        assert_bit_identical(prod.coeffs, scalar_star(f, g, cap))
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,6 +400,26 @@ def test_extend_and_eval_many_at_the_edges(q, rng):
             got = pair.extend_many(points)
             assert np.all(np.abs(got - want) <= tol)
             assert np.array_equal(pair.extend(q).as_array(), got[0])
+
+
+def test_eval_and_extend_many_give_nan_at_nonfinite_points(rng):
+    # 0 * inf in the Horner sweep and the Hamilton product is NaN without a
+    # warning: from degree 1 on, every component at such a point is NaN, and
+    # the finite point of the same batch keeps its value
+    bad = np.array([[0, np.inf, 0, 0], [np.inf, 0, 0, 0], [1, -np.inf, np.inf, 0],
+                    [-np.inf, 2, 0, 0], [np.nan, 0, 0, 0], [0, 0, np.nan, 1]])
+    q = ball_point(rng)
+    points = np.vstack([bad, q.as_array()])
+    for f in (SliceSeries.monomial(1), make_series(rng, 10)):
+        pair = f.split(random_unit_imaginary(rng))
+        for got in (f.eval_many(points), pair.extend_many(points)):
+            assert np.all(np.isnan(got[:-1]))
+            assert_within_horner_bound(f, got[-1:], f.eval(q).as_array()[None], points[-1:])
+    # a constant has the one value everywhere
+    c = make_series(rng, 0)
+    assert np.array_equal(c.eval_many(points), np.broadcast_to(c.coeffs[0], points.shape))
+    got = c.split(random_unit_imaginary(rng)).extend_many(points)
+    assert np.all(np.abs(got - c.coeffs[0]) <= 1e-14)
 
 
 # -- bit identity with the earlier (M, 4) formulas --------------------------------
