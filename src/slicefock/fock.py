@@ -27,8 +27,8 @@ Adv. Math. 226 (2011)).  With z = x + iy every power splits as
     f(x + yu) = F1(z) + u F2(z),
     F1 = sum_n Re(z^n) a_n,   F2 = sum_n Im(z^n) a_n,
 
-and one complex Horner sweep of the four real coefficient components gives
-F1 + i F2 for every slice at once.  ``SliceSeries.eval_many`` evaluates at
+and F1 + i F2 on the grid serves every slice at once (it is read from the
+ring table below).  ``SliceSeries.eval_many`` evaluates at
 arbitrary points by the same identity, with u the unit axis and y the
 length of each point's imaginary part.  Writing F1 = (s, v) and
 F2 = (t, w) in real and vector parts, the squared modulus on the slice of
@@ -43,32 +43,34 @@ nodes (``PolarGrid.ring_weights``).  The angular rule is the equispaced
 trapezoid, so the angular sum of each ring is a DFT: with theta_j =
 2 pi j / n_theta, sum_j e^(-i n theta_j) x_j is bin n mod n_theta of
 ``np.fft.fft(x)``, and conj(z)^n aliases mod n_theta on the grid exactly as
-the bins do.  Every p = 2 Gaussian integral is therefore a sum over an
-n_r x (degree + 1) ring table, for any degree:
+the bins do.  The Gram diagonal and the moments sum over the running
+products lambda_r r^n (``_ring_powers``), which start from the weight, so a
+Gaussian that underflows never meets a power that overflows:
 
   * Gram diagonal: gamma_m = n_theta sum_r lambda_r r^(2m);
   * moment n of grid samples g, M_n = integral conj(z)^n g dlambda:
     sum_r lambda_r r^n spectrum[r, n mod n_theta], one FFT over the angles
     of each ring of the frame samples (``_moments``); the projection is
-    c_n M_n, the inner product sum_n conj(a_n) M_n(g) for f = sum z^n a_n;
-  * p = 2 slice norm: by Parseval, sum_theta |F1|^2 + |F2|^2 = n_theta
-    sum_{c,m} T[c,r,m]^2 with T[c,r,m] = sum over n = m mod n_theta of
-    a_{n,c} r^n, and sum_theta B = 0 exactly, since B pairs F1 with F2
-    antisymmetrically and T is real.  So every p = 2 slice norm is the
-    same number, computed from the coefficients without a node value, and
-    ``fock_norm_sup`` at p = 2 reports the first sample axis.
+    c_n M_n, the inner product sum_n conj(a_n) M_n(g) for f = sum z^n a_n.
 
-Every table row lambda_r r^n is a running product that starts from the
-weight (from sqrt(lambda_r) for the norms, whose terms are squared), so a
-Gaussian that underflows never meets a power that overflows.
+Every slice norm reads f from one ring table (``_ring_table``), T[c,r,m] =
+sum over n = m mod n_theta of a_{n,c} r^n e^(s_r), each term formed in logs
+as sign(a) exp(log|a_{n,c}| + n log r + s_r).  As z^n aliases mod n_theta
+on ring r, row r holds the angular Fourier coefficients of e^(s_r) F:
 
-For p != 2 the weighted reduction folds the Gaussian into a radial weight,
-(|f|^2 e^(-alpha r^2))^(p/2) = |f|^p e^(-alpha p r^2 / 2): the ring weight
-of alpha p / 2, which also carries the normalization alpha p / (2 pi).  It
-sums over angles before radii, so the ring sums of |f|^p serve every alpha:
-
-  * p = 4, 3, 3/2, 4/3: |f|^p is s*s, s*sqrt(s), sqrt(s*sqrt(s)) and
-    cbrt(s)^2 for s = |f|^2 (``_power``); any other p uses s ** (p/2);
+  * p = 2: s_r = log sqrt(lambda_r), so by Parseval lambda_r sum_theta |F|^2
+    = n_theta sum_{c,m} T[c,r,m]^2, and sum_theta B = 0 exactly, since B
+    pairs F1 with F2 antisymmetrically and T is real.  So every p = 2 slice
+    norm is the same number, computed from the coefficients without a node
+    value, and ``fock_norm_sup`` at p = 2 reports the first sample axis.
+  * p != 2: s_r = -log M_r with M_r = max over n, c of |a_{n,c}| r^n, and
+    F / M_r at the nodes is the conjugate of one ``np.fft.rfft`` of the
+    table (``_stem_terms``).  (|f|^2 e^(-alpha r^2))^(p/2) folds the
+    Gaussian into the ring weight lambda_r(alpha p / 2), which carries the
+    normalization alpha p / (2 pi).  The ring sums of |f / M_r|^p serve
+    every alpha, and ring r weighs lambda_r M_r^p in logs (``_weighted_norms``);
+  * |f|^p is s*s, s*sqrt(s), sqrt(s*sqrt(s)) and cbrt(s)^2 for s = |f|^2
+    at p = 4, 3, 3/2, 4/3 (``_power``); any other p uses s ** (p/2);
   * rows are filled, powered and summed in blocks of ``_BLOCK_ROWS`` slices
     (1 MB on the default grid), which stay in L2 cache.
 
@@ -92,7 +94,7 @@ import numpy as np
 from .quadrature import PolarGrid, build_polar_grid, slice_sample
 from .quaternions import (ONE, Quaternion, check_unit_imaginary, from_frame, hamilton, slice_frame,
                           to_frame)
-from .series import SliceSeries, _horner
+from .series import SliceSeries
 
 __all__ = [
     "FockParams",
@@ -112,7 +114,7 @@ __all__ = [
 
 
 # Largest quadrature grid, n_r * n_theta: 256 times the default 64 x 256.
-# At the cap the (4, nodes) complex accumulator of ``_stem_terms`` is 256 MB.
+# At the cap the complex rfft of ``_stem_terms`` is 128 MB and its B terms 96 MB.
 _MAX_NODES = 1 << 22
 
 
@@ -180,19 +182,39 @@ def build_grid(params: FockParams) -> PolarGrid:
     return build_polar_grid(params.n_r, params.n_theta, params.r_max)
 
 
-def _stem_terms(f: SliceSeries, grid: PolarGrid):
-    """(A, B) with |f|^2 = A + 2 u.B at the grid nodes of every slice u.
+def _log_terms(f: SliceSeries, grid: PolarGrid) -> np.ndarray:
+    """log |a_{n,c}| r^n, shape (4, n_r, degree + 1); -inf at a zero coefficient."""
+    with np.errstate(divide="ignore"):
+        log_a = np.log(np.abs(f.coeffs.T))
+    return log_a[:, None, :] + np.log(grid.r)[:, None] * np.arange(f.degree + 1)
 
-    One complex Horner sweep of the four coefficient components gives the
-    stem function F1 + i F2; A has shape (n,) and B shape (3, n).
-    """
-    acc = _horner(f.coeffs, grid.z)
-    s, v1, v2, v3 = acc.real
-    t, w1, w2, w3 = acc.imag
+
+def _ring_table(f: SliceSeries, grid: PolarGrid, shift: np.ndarray) -> np.ndarray:
+    """T[c,r,m] = sum over n = m mod n_theta of a_{n,c} r^n e^(shift_r), shape
+    (4, n_r, min(degree + 1, n_theta)), each term formed in logs (module docstring)."""
+    terms = np.sign(f.coeffs.T)[:, None, :] * np.exp(_log_terms(f, grid) + shift[:, None])
+    bins = -(-terms.shape[-1] // grid.n_theta)
+    if bins > 1:
+        terms = np.pad(terms, ((0, 0), (0, 0), (0, bins * grid.n_theta - terms.shape[-1])))
+        terms = np.sum(terms.reshape(4, grid.n_r, bins, grid.n_theta), axis=2)
+    return terms
+
+
+def _stem_terms(f: SliceSeries, grid: PolarGrid, log_m: np.ndarray):
+    """(A, B), shapes (n,) and (3, n), with |f|^2 = M_r^2 (A + 2 u.B) at the nodes
+    of every slice u, for log M_r = ``log_m`` (0 gives |f|^2 itself).  F / M_r is
+    the conjugate of the rfft of the table; T is real, so A is even in theta and
+    B odd, and both are formed on the rfft's half of the angles, then mirrored."""
+    spec = np.fft.rfft(_ring_table(f, grid, -log_m), n=grid.n_theta)
+    s, v1, v2, v3 = spec.real
+    t, w1, w2, w3 = -spec.imag
     a = s * s + v1 * v1 + v2 * v2 + v3 * v3 + t * t + w1 * w1 + w2 * w2 + w3 * w3
     b = np.stack([t * v1 - s * w1 + (w2 * v3 - w3 * v2),
                   t * v2 - s * w2 + (w3 * v1 - w1 * v3),
                   t * v3 - s * w3 + (w1 * v2 - w2 * v1)])
+    back = slice(grid.n_theta - spec.shape[-1], 0, -1)
+    a = np.concatenate([a, a[:, back]], axis=-1).ravel()
+    b = np.concatenate([b, -b[..., back]], axis=-1).reshape(3, -1)
     return a, b
 
 
@@ -232,9 +254,9 @@ def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
 
     ``u`` is one unit imaginary (result shape (n,)) or an (m, 4) array of
     them (result shape (m, n), one row per axis).  Every row comes from the
-    same stem-function sweep of f: |f|^2 = A + 2 u.B (module docstring).
+    same unscaled stem-function fill of f: |f|^2 = A + 2 u.B (module docstring).
     """
-    a, b = _stem_terms(f, grid)
+    a, b = _stem_terms(f, grid, np.zeros(grid.n_r))
     rows = _slice_rows(a, 2.0 * b, _axis_rows(u))
     return rows[0] if isinstance(u, Quaternion) else rows
 
@@ -275,12 +297,16 @@ def _ring_sums(blocks, n_rows: int, grid: PolarGrid, ps) -> dict:
     return rings
 
 
-def _weighted_norms(rings: dict, grid: PolarGrid, pairs) -> dict:
-    """Norms from the ring sums of |f|^p: the Gaussian weight of alpha p / 2 per ring."""
+def _weighted_norms(rings: dict, grid: PolarGrid, pairs, log_m) -> dict:
+    """Norms from the ring sums of |f / M_r|^p, log M_r = ``log_m``: ring r weighs
+    lambda_r(alpha p / 2) M_r^p = e^(l_r), and with t the largest l_r the norm is
+    (sum_r ring_r e^(l_r - t))^(1/p) e^(t/p), a log-sum-exp over rings."""
     out = {}
     for (p, alpha) in pairs:
-        integral = np.sum(rings[p] * grid.ring_weights(0.5 * alpha * p), axis=-1)
-        out[(p, alpha)] = integral ** (1.0 / p)
+        logs = grid.log_ring_weights(0.5 * alpha * p) + p * log_m
+        top = np.max(logs)
+        integral = np.sum(rings[p] * np.exp(logs - top), axis=-1)
+        out[(p, alpha)] = integral ** (1.0 / p) * np.exp(top / p)
     return out
 
 
@@ -302,7 +328,7 @@ def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
     blocks = ((i, flat[i: i + _BLOCK_ROWS]) for i in range(0, len(flat), _BLOCK_ROWS))
     rings = _ring_sums(blocks, len(flat), grid, _exponents(pairs))
     rings = {p: r.reshape(lead + (grid.n_r,)) for p, r in rings.items()}
-    return _weighted_norms(rings, grid, pairs)
+    return _weighted_norms(rings, grid, pairs, 0.0)
 
 
 def _ring_powers(start: np.ndarray, step: np.ndarray, degree: int) -> np.ndarray:
@@ -320,18 +346,11 @@ def _ring_powers(start: np.ndarray, step: np.ndarray, degree: int) -> np.ndarray
 def _p2_rings(f: SliceSeries, grid: PolarGrid, alpha: float) -> np.ndarray:
     """lambda_r sum_theta |f|^2 on each ring, shape (n_r,), the same on every slice.
 
-    sum_theta |f|^2 = n_theta sum_{c,m} T[c,r,m]^2 with T[c,r,m] the sum of
-    a_{n,c} r^n over n = m mod n_theta (module docstring).  The running
-    powers start from sqrt(lambda_r), so e^(-alpha r^2 / 2) is folded in
-    before squaring and |f|^2 itself is never formed.
+    n_theta sum_{c,m} T[c,r,m]^2 by Parseval, for the ring table T of shift
+    log sqrt(lambda_r) (module docstring): |f|^2 itself is never formed.
     """
-    powers = _ring_powers(np.sqrt(grid.ring_weights(alpha)), grid.r, f.degree)
-    terms = f.coeffs.T[:, None, :] * powers
-    bins = -(-terms.shape[-1] // grid.n_theta)
-    if bins > 1:
-        terms = np.pad(terms, ((0, 0), (0, 0), (0, bins * grid.n_theta - terms.shape[-1])))
-        terms = np.sum(terms.reshape(4, grid.n_r, bins, grid.n_theta), axis=2)
-    return grid.n_theta * np.sum(terms * terms, axis=(0, 2))
+    table = _ring_table(f, grid, 0.5 * grid.log_ring_weights(alpha))
+    return grid.n_theta * np.sum(table * table, axis=(0, 2))
 
 
 def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
@@ -340,8 +359,8 @@ def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
     ``axes`` is one unit imaginary or an (m, 4) array of them; each result
     has shape (m,).  At p = 2 every slice has the one norm of the ring
     table (``_p2_rings``), and no node value is computed.  Other exponents
-    share one stem sweep of f and fill |f|^2 rows a block at a time, and
-    no (m, nodes) stack is built.
+    share one scaled stem fill of f from the same table and fill |f / M_r|^2
+    rows a block at a time, and no (m, nodes) stack is built.
     """
     units = _axis_rows(axes)
     out = {}
@@ -351,12 +370,14 @@ def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
             out[pair] = np.full(len(units), norm)
     rest = [pair for pair in pairs if pair[0] != 2.0]
     if rest:
-        a, b = _stem_terms(f, grid)
+        log_m = np.max(_log_terms(f, grid), axis=(0, 2))  # log M_r, 0 where f = 0
+        log_m[log_m == -np.inf] = 0.0
+        a, b = _stem_terms(f, grid, log_m)
         b2 = 2.0 * b
         blocks = ((i, _slice_rows(a, b2, units[i: i + _BLOCK_ROWS]))
                   for i in range(0, len(units), _BLOCK_ROWS))
         rings = _ring_sums(blocks, len(units), grid, _exponents(rest))
-        out.update(_weighted_norms(rings, grid, rest))
+        out.update(_weighted_norms(rings, grid, rest, log_m))
     return {pair: out[pair] for pair in pairs}
 
 

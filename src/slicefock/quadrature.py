@@ -46,6 +46,10 @@ class PolarGrid:
         shape (n_r,): the one definition of the Gaussian weight."""
         return self.ring_area * (alpha / math.pi) * np.exp(-alpha * self.r * self.r)
 
+    def log_ring_weights(self, alpha: float) -> np.ndarray:
+        """log lambda_r, finite on every ring even where lambda_r underflows."""
+        return np.log(self.ring_area) + math.log(alpha / math.pi) - alpha * self.r * self.r
+
     def gaussian_mass(self, alpha: float) -> float:
         return float(self.n_theta * np.sum(self.ring_weights(alpha)))
 

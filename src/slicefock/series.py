@@ -23,6 +23,7 @@ Horner loop, as an independent check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO, Union
 
@@ -164,7 +165,10 @@ class SliceSeries:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, q: Quaternion) -> Quaternion:
-        """Horner evaluation of sum_n q^n a_n (left powers, right coefficients)."""
+        """Horner evaluation of sum_n q^n a_n (left powers, right coefficients);
+        NaN at a non-finite point from degree 1 on, as in ``eval_many``."""
+        if self.degree and not all(map(math.isfinite, (q.x0, q.x1, q.x2, q.x3))):
+            return Quaternion(math.nan, math.nan, math.nan, math.nan)
         acc = Quaternion.from_components(self.coeffs[-1])
         for n in range(self.degree - 1, -1, -1):
             acc = q * acc + Quaternion.from_components(self.coeffs[n])

@@ -415,6 +415,8 @@ def test_eval_and_extend_many_give_nan_at_nonfinite_points(rng):
         for got in (f.eval_many(points), pair.extend_many(points)):
             assert np.all(np.isnan(got[:-1]))
             assert_within_horner_bound(f, got[-1:], f.eval(q).as_array()[None], points[-1:])
+        for point in bad:
+            assert np.all(np.isnan(f.eval(Quaternion.from_components(point)).as_array()))
     # a constant has the one value everywhere
     c = make_series(rng, 0)
     assert np.array_equal(c.eval_many(points), np.broadcast_to(c.coeffs[0], points.shape))
