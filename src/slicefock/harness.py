@@ -41,14 +41,14 @@ __all__ = [
 class RunConfig(FockParams):
     """A verification run: the FockParams of its integrals plus the run
     fields; hashable and reproducible.  checks=None runs the default set;
-    an unknown check id is rejected here, before anything runs."""
+    an unknown check id is rejected here, before anything runs.  Without out,
+    fmt is the format of the report printed to stdout; None prints none."""
 
     seed: int = 42
     n_series: int = 200
-    max_degree: int = 10
     checks: Optional[tuple[str, ...]] = None
     out: Optional[str] = None
-    fmt: str = "json"
+    fmt: Optional[str] = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -56,9 +56,7 @@ class RunConfig(FockParams):
             raise ValueError("seed must be non-negative")
         if self.n_series < 1:
             raise ValueError("n_series must be positive")
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
-        if self.fmt not in ("json", "csv"):
+        if self.fmt not in (None, "json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
         for check_id in self.selected_checks():
             lookup_check(check_id)

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import slicefock
-from slicefock import RunConfig, SliceSeries, write_series
-from slicefock.cli import _CONFIG_KEYS, _build_config, build_parser, main
+from slicefock import FockParams, RunConfig, SliceSeries, write_series
+from slicefock.cli import _CONFIG_KEYS, _PARAM_KEYS, _build_config, build_parser, main
 
 
 @pytest.fixture
@@ -158,12 +161,20 @@ def test_verify_emit_report_stdout(capsys):
     assert captured.err.startswith("PASS quad-calibration")
 
 
-def test_verify_format_flag_implies_report(capsys):
-    assert main(["verify", "--checks", "quad-calibration", "--format", "json"]) == 0
-    captured = capsys.readouterr()
-    (rec,) = json.loads(captured.out)
-    assert rec["check_id"] == "quad-calibration"
-    assert "PASS" in captured.err
+def test_verify_format_flag_implies_report(tmp_path, capsys):
+    # a format without --out prints the report, whether a flag or a config file sets it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=csv\n")
+
+    def read_csv(text):
+        return list(csv.DictReader(io.StringIO(text)))
+
+    for extra, parse in ((["--format", "json"], json.loads), (["--config", str(cfg)], read_csv)):
+        assert main(["verify", "--checks", "quad-calibration"] + extra) == 0
+        captured = capsys.readouterr()
+        (rec,) = parse(captured.out)
+        assert rec["check_id"] == "quad-calibration"
+        assert captured.err.startswith("PASS quad-calibration") and "PASS" not in captured.out
 
 
 def test_python_dash_m_runs_the_cli():
@@ -247,12 +258,21 @@ def test_nonfinite_inputs_exit_2(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_param_subcommands_share_the_param_keys():
+def test_param_subcommands_share_the_param_keys(tmp_path, capsys):
+    assert sorted(_CONFIG_KEYS[key][0] for key in _PARAM_KEYS) == sorted(
+        f.name for f in fields(FockParams))
+    shared = tmp_path / "run.cfg"
+    shared.write_text("seed=3\n")
     parser = build_parser()
     for argv in (["norm", "f.series"], ["kernel", "--q", "0 0 0 0", "--w", "0 0 0 0"], ["gram"]):
-        args = parser.parse_args(argv + ["--quad-r", "16", "--slices", "9", "--seed", "3"])
+        args = parser.parse_args(argv + ["--quad-r", "16", "--slices", "9",
+                                         "--config", str(shared)])
         config = _build_config(args)
-        assert (config.n_r, config.n_slices, config.seed) == (16, 9, 3)
+        assert (config.n_r, config.n_slices) == (16, 9)
+    # the seed decides nothing for norm, kernel or gram, so they take no --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "f.series", "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_bad_flag_value_exits_2(capsys):
@@ -269,8 +289,7 @@ def test_nonfinite_parameter_exits_2(flag, value, capsys):
 CONFIG_SAMPLES = {
     "alpha": "0.5", "p": "3", "domain": "plane", "radius": "5", "degree": "7",
     "quad-r": "16", "quad-theta": "32", "slices": "9", "seed": "3", "n-series": "2",
-    "max-degree": "4", "checks": "star-assoc, split-roundtrip", "out": "reports/run",
-    "format": "csv",
+    "checks": "star-assoc, split-roundtrip", "out": "reports/run", "format": "csv",
 }
 
 
