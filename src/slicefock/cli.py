@@ -6,12 +6,15 @@ a series file at a point), norm (weighted norms of a series file), kernel
 monomial Gram diagonal against its slow reference).
 
 Run settings come from one table, _CONFIG_KEYS: each key is a --<key> flag
-and a key=value line of a --config file (flags win).  verify takes every
-key; norm, kernel and gram take the FockParams keys.  Values are validated
-once, by constructing the RunConfig, which alone routes verify's report:
-<out>.json and <out>.csv, else a format (--emit-report means json unless one
-is set) prints it to stdout and moves the PASS/FAIL lines to stderr, so
-stdout is exactly the report.  ``python -m slicefock`` runs the same front end.
+and a key=value line of a --config file (flags win), parsed by the key's
+type.  Each subcommand builds one config type: verify a RunConfig from
+every key; norm, kernel and gram a FockParams from the eight FockParams
+keys alone, so the run keys of a shared config file are neither validated
+nor stored.  Values are validated once, by constructing that
+config.  The RunConfig alone routes verify's report: <out>.json and
+<out>.csv, else a format (--emit-report means json unless one is set)
+prints it to stdout and moves the PASS/FAIL lines to stderr, so stdout is
+exactly the report.  ``python -m slicefock`` runs the same front end.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or parse errors, 3 I/O errors.
@@ -30,6 +33,12 @@ from .quaternions import I, Quaternion
 from .reference import monomial_gram_reference
 from .series import SeriesFormatError, read_series
 
+
+def _check_ids(text: str) -> tuple[str, ...]:
+    """The ids of a comma-separated check list, blanks dropped."""
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
 # The one table of run settings: config-file key -> (RunConfig field, type,
 # help).  The command-line flag of a key is --<key>, stored under its field.
 _CONFIG_KEYS = {
@@ -43,7 +52,7 @@ _CONFIG_KEYS = {
     "slices": ("n_slices", int, "slice-sample size for sup norms (>= 8)"),
     "seed": ("seed", int, "run seed"),
     "n-series": ("n_series", int, "random series drawn by norm-sandwich, and no other check"),
-    "checks": ("checks", str, "comma-separated check ids (default: the standard set)"),
+    "checks": ("checks", _check_ids, "comma-separated check ids (default: the standard set)"),
     "out": ("out", str, "report base path; writes <out>.json and <out>.csv"),
     "format": ("fmt", str, "report format to print when --out is not given: json or csv"),
 }
@@ -93,18 +102,19 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> FockParams:
+    """The subcommand's ``config_type`` from its config file and flags; values
+    of keys that are not fields of that type are dropped."""
     values = _parse_config_file(args.config) if args.config else {}
     for attr, _, _ in _CONFIG_KEYS.values():
         val = getattr(args, attr, None)
         if val is not None:
             values[attr] = val
-    if "checks" in values:
-        values["checks"] = tuple(c.strip() for c in values["checks"].split(",") if c.strip())
     if getattr(args, "emit_report", False):
         values["fmt"] = values.get("fmt") or "json"
+    names = {f.name for f in fields(args.config_type)}
     try:
-        return RunConfig(**values)
+        return args.config_type(**{k: v for k, v in values.items() if k in names})
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
 
@@ -197,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--emit-report", action="store_true",
                           help="print the report to stdout, as JSON unless a format is "
                                "set (the PASS/FAIL lines then go to stderr)")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, config_type=RunConfig)
 
     p_eval = sub.add_parser("eval", help="evaluate a series file at a point")
     p_eval.add_argument("series", help="series file in the plain text format")
@@ -208,19 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="weighted norms of a series file")
     p_norm.add_argument("series", help="series file in the plain text format")
     _add_flags(p_norm, _PARAM_KEYS)
-    p_norm.set_defaults(func=_cmd_norm)
+    p_norm.set_defaults(func=_cmd_norm, config_type=FockParams)
 
     p_kernel = sub.add_parser("kernel", help="kernel values at a pair of points")
     p_kernel.add_argument("--q", required=True, metavar="'x0 x1 x2 x3'")
     p_kernel.add_argument("--w", required=True, metavar="'x0 x1 x2 x3'")
     _add_flags(p_kernel, _PARAM_KEYS)
-    p_kernel.set_defaults(func=_cmd_kernel)
+    p_kernel.set_defaults(func=_cmd_kernel, config_type=FockParams)
 
     p_gram = sub.add_parser("gram", help="monomial Gram diagonal vs. slow reference")
     _add_flags(p_gram, _PARAM_KEYS)
     p_gram.add_argument("--max-degree", type=int, default=None,
                         help="largest monomial degree to print (default 16)")
-    p_gram.set_defaults(func=_cmd_gram)
+    p_gram.set_defaults(func=_cmd_gram, config_type=FockParams)
 
     return parser
 

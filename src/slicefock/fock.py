@@ -182,6 +182,19 @@ def build_grid(params: FockParams) -> PolarGrid:
     return build_polar_grid(params.n_r, params.n_theta, params.r_max)
 
 
+def _params_grid(params: FockParams, grid: Optional[PolarGrid]) -> PolarGrid:
+    """``build_grid(params)`` when no grid is given; a given grid must match the
+    params' (n_r, n_theta, r_max), so it can never silently override them."""
+    if grid is not None:
+        shape = (grid.n_r, grid.n_theta, grid.r_max)
+        wanted = (params.n_r, params.n_theta, params.r_max)
+        if shape != wanted:
+            raise ValueError("grid (n_r, n_theta, r_max) = %r is not the params' grid %r"
+                             % (shape, wanted))
+        return grid
+    return build_grid(params)
+
+
 def _log_terms(f: SliceSeries, grid: PolarGrid) -> np.ndarray:
     """log |a_{n,c}| r^n, shape (4, n_r, degree + 1); -inf at a zero coefficient."""
     with np.errstate(divide="ignore"):
@@ -389,9 +402,9 @@ def fock_norm_slice(f: SliceSeries, u: Quaternion, params: FockParams,
 
     with the integral over the unit disk or the radius-R disk of the slice.
     It is ``stem_norms`` on one axis, so it matches ``fock_norm_sup`` bit for bit.
+    A grid, if given, must be the params' grid (else ValueError).
     """
-    if grid is None:
-        grid = build_grid(params)
+    grid = _params_grid(params, grid)
     pair = (params.p, params.alpha)
     return float(stem_norms(f, u, grid, [pair])[pair][0])
 
@@ -410,10 +423,10 @@ def fock_norm_sup(f: SliceSeries, params: FockParams,
     is a Fibonacci lattice of size n_slices plus the coordinate axes; the
     norm-equivalence sandwich bounds the true supremum by twice any slice
     value, so the sampling error is bounded even between lattice points.
-    One stem sweep serves every sampled slice (``stem_norms``).
+    One stem sweep serves every sampled slice (``stem_norms``).  A grid, if
+    given, must be the params' grid (else ValueError).
     """
-    if grid is None:
-        grid = build_grid(params)
+    grid = _params_grid(params, grid)
     axes = slice_sample(params.n_slices)
     pair = (params.p, params.alpha)
     norms = stem_norms(f, axes, grid, [pair])[pair]
@@ -440,10 +453,10 @@ def inner_product(f: SliceSeries, g: SliceSeries, u: Quaternion, params: FockPar
     hermitian, which is the structure the p = 2 space carries; the p
     parameter plays no role here.  It is sum_n conj(a_n) M_n(g) over the
     coefficients a_n of f, with M_n the moments of g's grid samples that
-    ``projection_series`` reads (module docstring).
+    ``projection_series`` reads (module docstring).  A grid, if given, must
+    be the params' grid (else ValueError).
     """
-    if grid is None:
-        grid = build_grid(params)
+    grid = _params_grid(params, grid)
     pair = g.split(u)
     moments = _moments(*pair.eval_components(grid.z), grid, params.alpha, f.degree)
     terms = hamilton(f.conjugate().coeffs, from_frame(*moments, pair.frame))
@@ -456,10 +469,10 @@ def gram_table(params: FockParams, grid: Optional[PolarGrid] = None) -> np.ndarr
     A read-only (degree + 1,) array, the radial sum of the ring table,
     gamma_m = n_theta sum_r lambda_r r^(2m).  On the unit disk the entries
     match the incomplete-gamma values gamma(m+1, alpha)/alpha^m; in plane
-    mode they approach m!/alpha^m as the truncation radius grows.
+    mode they approach m!/alpha^m as the truncation radius grows.  A grid,
+    if given, must be the params' grid (else ValueError).
     """
-    if grid is None:
-        grid = build_grid(params)
+    grid = _params_grid(params, grid)
     powers = _ring_powers(grid.ring_weights(params.alpha), grid.r * grid.r, params.degree)
     diag = grid.n_theta * np.sum(powers, axis=0)
     diag.flags.writeable = False
@@ -512,10 +525,10 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     kernel paired on the left of the samples; the kernel hermiticity
     K(q, w) = conj(K(w, q)) makes this the adjoint-consistent order, and it
     keeps the output a genuine left series even for quaternion-valued samples.
-    The integral is the moment M_n of ``_moments``.
+    The integral is the moment M_n of ``_moments``.  A grid, if given, must
+    be the params' grid (else ValueError), and the samples are its nodes.
     """
-    if grid is None:
-        grid = build_grid(params)
+    grid = _params_grid(params, grid)
     s = np.asarray(samples, dtype=float)
     if s.ndim != 2 or s.shape[1] != 4:
         raise ValueError("samples must form an (n, 4) component array")

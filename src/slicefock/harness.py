@@ -41,8 +41,10 @@ __all__ = [
 class RunConfig(FockParams):
     """A verification run: the FockParams of its integrals plus the run
     fields; hashable and reproducible.  checks=None runs the default set;
-    an unknown check id is rejected here, before anything runs.  Without out,
-    fmt is the format of the report printed to stdout; None prints none."""
+    an unknown check id is rejected here, before anything runs, and so is a
+    radius below 1, since the plane checks run at it on either domain.
+    Without out, fmt is the format of the report printed to stdout; None
+    prints none."""
 
     seed: int = 42
     n_series: int = 200
@@ -52,6 +54,8 @@ class RunConfig(FockParams):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.radius < 1:
+            raise ValueError("radius must be >= 1: the plane checks use it on either domain")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_series < 1:

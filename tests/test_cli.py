@@ -241,6 +241,7 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys):
     ("--slices", "3", "n_slices >= 8"),
     ("--quad-theta", "100000000", "exceeds the cap"),
     ("--seed", "-1", "seed must be non-negative"),
+    ("--radius", "0.5", "radius must be >= 1"),
 ])
 def test_invalid_setting_exits_2_with_the_config_message(flag, value, message, capsys):
     assert main(["verify", flag, value, "--checks", "quad-calibration"]) == 2
@@ -261,14 +262,25 @@ def test_nonfinite_inputs_exit_2(tmp_path, capsys):
 def test_param_subcommands_share_the_param_keys(tmp_path, capsys):
     assert sorted(_CONFIG_KEYS[key][0] for key in _PARAM_KEYS) == sorted(
         f.name for f in fields(FockParams))
+    # the run keys of a shared file are parsed, then dropped: even values verify rejects
     shared = tmp_path / "run.cfg"
-    shared.write_text("seed=3\n")
+    shared.write_text("checks=bogus\nformat=xml\nseed=5\nout=r\nn-series=0\nquad-r=16\n")
+    series = tmp_path / "f.series"
+    write_monomial(series, 3)
     parser = build_parser()
-    for argv in (["norm", "f.series"], ["kernel", "--q", "0 0 0 0", "--w", "0 0 0 0"], ["gram"]):
-        args = parser.parse_args(argv + ["--quad-r", "16", "--slices", "9",
-                                         "--config", str(shared)])
-        config = _build_config(args)
+    for argv in (["norm", str(series)], ["kernel", "--q", "0.5 0.1 0 0", "--w", "0.3 0 0.2 0"],
+                 ["gram"]):
+        config = _build_config(parser.parse_args(argv + ["--slices", "9",
+                                                         "--config", str(shared)]))
+        assert type(config) is FockParams
         assert (config.n_r, config.n_slices) == (16, 9)
+        assert main(argv + ["--config", str(shared)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(argv + ["--quad-r", "16"]) == 0
+        assert capsys.readouterr().out == from_file
+    assert main(["verify", "--config", str(shared)]) == 2
+    shared.write_text("seed=notanint\n")
+    assert main(["gram", "--config", str(shared)]) == 2
     # the seed decides nothing for norm, kernel or gram, so they take no --seed
     with pytest.raises(SystemExit) as exc:
         main(["norm", "f.series", "--seed", "3"])

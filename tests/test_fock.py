@@ -761,6 +761,28 @@ def test_projection_rejects_grid_mismatch(rng):
         projection_series(np.zeros((10, 4)), I, params).eval(ONE)
 
 
+_GRID_CALLS = {
+    "fock_norm_slice": lambda params, grid: fock_norm_slice(SliceSeries.monomial(3), I,
+                                                            params, grid),
+    "fock_norm_sup": lambda params, grid: fock_norm_sup(SliceSeries.monomial(3), params, grid),
+    "inner_product": lambda params, grid: inner_product(SliceSeries.monomial(1),
+                                                        SliceSeries.monomial(1), I, params, grid),
+    "gram_table": lambda params, grid: gram_table(params, grid),
+    "projection_series": lambda params, grid: projection_series(np.zeros((grid.size, 4)), I,
+                                                                params, grid),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_CALLS))
+def test_a_grid_that_is_not_the_params_grid_raises(name):
+    # a passed disk grid used to win silently over plane params: the p = 3 sup
+    # norm of q^3 then read 0.4278, the disk value, in place of 2.0362
+    disk_grid = build_grid(FockParams())
+    with pytest.raises(ValueError, match="not the params' grid"):
+        _GRID_CALLS[name](FockParams(p=3.0, domain="plane"), disk_grid)
+    _GRID_CALLS[name](FockParams(p=3.0), disk_grid)
+
+
 @pytest.mark.parametrize("samples", [1.0, np.zeros(4), np.zeros(64), np.zeros((64, 3))])
 def test_projection_rejects_malformed_samples(samples):
     with pytest.raises(ValueError, match=r"\(n, 4\) component array"):

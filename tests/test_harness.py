@@ -204,6 +204,21 @@ def test_inner_product_checks_fail_on_nan(check_id, monkeypatch):
     assert math.isnan(outcome.lhs) and not outcome.passed
 
 
+def test_embedding_sees_a_p4_norm_scaled_by_one_and_a_half(monkeypatch):
+    # the (2, 2) pair, sup^2 / (8 sup^2) = 1/8 on every draw, used to pin lhs at
+    # 0.125, above every ratio of the paper's conjugate pairs, so this fault passed unseen
+    config = RunConfig(n_r=16, n_theta=64, n_slices=8)
+    clean = run_check("embedding", config)
+    stem_norms = checks.stem_norms
+
+    def scaled(f, axes, grid, pairs):
+        norms = stem_norms(f, axes, grid, pairs)
+        return {pair: 1.5 * v if pair[0] == 4.0 else v for pair, v in norms.items()}
+
+    monkeypatch.setattr(checks, "stem_norms", scaled)
+    assert run_check("embedding", config).lhs > clean.lhs
+
+
 def _reject_constant(token):
     raise ValueError("non-JSON constant %s" % token)
 
