@@ -69,17 +69,24 @@ on ring r, row r holds the angular Fourier coefficients of e^(s_r) F:
     Gaussian into the ring weight lambda_r(alpha p / 2), which carries the
     normalization alpha p / (2 pi).  The ring sums of |f / M_r|^p serve
     every alpha, and ring r weighs lambda_r M_r^p in logs (``_weighted_norms``);
-  * |f|^p is s*s, s*sqrt(s), sqrt(s*sqrt(s)) and cbrt(s)^2 for s = |f|^2
-    at p = 4, 3, 3/2, 4/3 (``_power``); any other p uses s ** (p/2);
+  * a block of rows A + 2 u.B is one ``np.einsum`` of the axes [u | 1]
+    against the rows (2B, A), clamped at 0 (``_slice_rows``);
+  * the angular sum of |f|^p, with s = |f|^2, is one fused product-sum
+    sum_theta x y at p = 4, 3, 3/2, 4/3, with (x, y) = (s, s), (s, sqrt(s)),
+    (sqrt(s), sqrt(sqrt(s))) and (cbrt(s), cbrt(s)); p = 3 and 3/2 share
+    sqrt(s).  p = 2 sums s, and any other p sums s ** (p/2) (``_power_sums``);
   * rows are filled, powered and summed in blocks of ``_BLOCK_ROWS`` slices
-    (1 MB on the default grid), which stay in L2 cache.
+    (512 kB of rows on the default grid), in fill and power buffers that one
+    sweep allocates once and reuses in every block.
 
 The single-slice paths (grid samples, projection, the inner product's g)
 split f as F + G v in the frame (1, u, v, uv) of ``quaternions.slice_frame``
 through ``to_frame``/``from_frame``: two complex Horner rows, not four.
 
-All reductions are plain ordered numpy sums and elementwise products over
-immutable grids (no BLAS), and numpy's FFT runs no threads, so equal inputs
+No reduction goes through BLAS: the sums are numpy's ``np.sum`` (pairwise)
+and, for the row fill and the four fused powers, ``np.einsum`` without
+``optimize``, a single-threaded C loop that sums in a fixed order whatever
+the number of rows.  numpy's FFT runs no threads either, so equal inputs
 give bit-identical outputs whatever the thread count.
 """
 
@@ -213,53 +220,53 @@ def _ring_table(f: SliceSeries, grid: PolarGrid, shift: np.ndarray) -> np.ndarra
     return terms
 
 
-def _stem_terms(f: SliceSeries, grid: PolarGrid, log_m: np.ndarray):
-    """(A, B), shapes (n,) and (3, n), with |f|^2 = M_r^2 (A + 2 u.B) at the nodes
-    of every slice u, for log M_r = ``log_m`` (0 gives |f|^2 itself).  F / M_r is
-    the conjugate of the rfft of the table; T is real, so A is even in theta and
+def _stem_terms(f: SliceSeries, grid: PolarGrid, log_m: np.ndarray) -> np.ndarray:
+    """Rows (2B1, 2B2, 2B3, A), shape (4, n), with |f|^2 = M_r^2 (A + 2 u.B) at the
+    nodes of every slice u, for log M_r = ``log_m`` (0 gives |f|^2 itself).  F / M_r
+    is the conjugate of the rfft of the table; T is real, so A is even in theta and
     B odd, and both are formed on the rfft's half of the angles, then mirrored."""
     spec = np.fft.rfft(_ring_table(f, grid, -log_m), n=grid.n_theta)
     s, v1, v2, v3 = spec.real
-    t, w1, w2, w3 = -spec.imag
-    a = s * s + v1 * v1 + v2 * v2 + v3 * v3 + t * t + w1 * w1 + w2 * w2 + w3 * w3
-    b = np.stack([t * v1 - s * w1 + (w2 * v3 - w3 * v2),
-                  t * v2 - s * w2 + (w3 * v1 - w1 * v3),
-                  t * v3 - s * w3 + (w1 * v2 - w2 * v1)])
-    back = slice(grid.n_theta - spec.shape[-1], 0, -1)
-    a = np.concatenate([a, a[:, back]], axis=-1).ravel()
-    b = np.concatenate([b, -b[..., back]], axis=-1).reshape(3, -1)
-    return a, b
+    t, w1, w2, w3 = spec.imag  # F2 is (-t, -w), so B is -1 times the form below
+    basis = np.empty((4, grid.n_r, grid.n_theta))
+    half = basis[..., : spec.shape[-1]]
+    half[0] = t * v1 - s * w1 + (w2 * v3 - w3 * v2)
+    half[1] = t * v2 - s * w2 + (w3 * v1 - w1 * v3)
+    half[2] = t * v3 - s * w3 + (w1 * v2 - w2 * v1)
+    half[:3] *= -2.0
+    half[3] = s * s + v1 * v1 + v2 * v2 + v3 * v3 + t * t + w1 * w1 + w2 * w2 + w3 * w3
+    parity = np.array([-1.0, -1.0, -1.0, 1.0])[:, None, None]
+    np.multiply(half[..., grid.n_theta - spec.shape[-1]: 0: -1], parity,
+                out=basis[..., spec.shape[-1]:])
+    return basis.reshape(4, -1)
 
 
-def _slice_rows(a: np.ndarray, b2: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """A + 2 u.B for each axis u, a row of the (m, 3) array ``axes``, clamped at 0.
+def _slice_rows(basis: np.ndarray, lifted: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A + 2 u.B for each row [u | 1] of ``lifted``, clamped at 0, written into the
+    first len(lifted) rows of ``out`` and returned.
 
-    ``b2`` is 2B, doubled once by the caller however many blocks it fills.
-
-    At a zero of f the two terms cancel and rounding can leave a value of
-    order -1e-14, which a fractional power would turn into NaN; the clamp
-    keeps NaN for NaN input.  Rows are filled one at a time, so the working
-    set stays in cache.
+    One ``np.einsum`` against the basis rows (2B1, 2B2, 2B3, A) of
+    ``_stem_terms`` forms each value as ((u1 2B1 + u2 2B2) + u3 2B3) + A, in
+    the same order whatever the number of rows.  At a zero of f the terms
+    cancel and rounding can leave a value of order -1e-14, which a fractional
+    power would turn into NaN; the clamp keeps NaN for NaN input.
     """
-    rows = np.empty((len(axes), a.size))
-    for row, u in zip(rows, axes):
-        np.multiply(u[0], b2[0], out=row)
-        row += u[1] * b2[1]
-        row += u[2] * b2[2]
-        row += a
-        np.maximum(row, 0.0, out=row)
-    return rows
+    rows = out[: len(lifted)]
+    np.einsum("mk,kn->mn", lifted, basis, out=rows)
+    return np.maximum(rows, 0.0, out=rows)
 
 
 def _axis_rows(u) -> np.ndarray:
-    """Imaginary parts, shape (m, 3), of slice axes checked in one pass.
+    """Rows [u1, u2, u3, 1], shape (m, 4), of slice axes checked in one pass.
 
     ``u`` is one unit imaginary or an (..., 4) array of their components,
     such as the slice sample of ``quadrature.slice_sample``.
     """
     comps = np.reshape(u.as_array() if isinstance(u, Quaternion) else u, (-1, 4))
     check_unit_imaginary(comps)
-    return comps[:, 1:]
+    lifted = np.ones(comps.shape)
+    lifted[:, :3] = comps[:, 1:]
+    return lifted
 
 
 def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
@@ -267,46 +274,71 @@ def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
 
     ``u`` is one unit imaginary (result shape (n,)) or an (m, 4) array of
     them (result shape (m, n), one row per axis).  Every row comes from the
-    same unscaled stem-function fill of f: |f|^2 = A + 2 u.B (module docstring).
+    same unscaled stem-function fill of f: |f|^2 = A + 2 u.B (module
+    docstring), written into the result a block of rows at a time.
     """
-    a, b = _stem_terms(f, grid, np.zeros(grid.n_r))
-    rows = _slice_rows(a, 2.0 * b, _axis_rows(u))
+    basis = _stem_terms(f, grid, np.zeros(grid.n_r))
+    lifted = _axis_rows(u)
+    rows = np.empty((len(lifted), grid.size))
+    for i in range(0, len(lifted), _BLOCK_ROWS):
+        _slice_rows(basis, lifted[i: i + _BLOCK_ROWS], rows[i:])
     return rows[0] if isinstance(u, Quaternion) else rows
 
 
-# Rows of |f|^2 values powered and summed together: 8 rows of the default
-# 64 x 256 grid are 1 MB, so a block and its powers stay in L2 cache.
-_BLOCK_ROWS = 8
+# Rows of |f|^2 values filled, powered and summed together: 4 rows of the
+# default 64 x 256 grid are 512 kB, and with the two power buffers of
+# ``_ring_sums`` a block's working set is 1.5 MB.
+_BLOCK_ROWS = 4
 
 
-def _power(s: np.ndarray, e: float) -> np.ndarray:
-    """s ** e for s >= 0, through sqrt and cbrt for the exponents p/2 in use."""
-    if e == 1.0:
-        return s
-    if e == 2.0:
-        return s * s
-    if e == 2.0 / 3.0:
-        out = np.cbrt(s)
-        out *= out
-        return out
-    if e in (1.5, 0.75):
-        out = np.sqrt(s)
-        out *= s
-        return out if e == 1.5 else np.sqrt(out, out=out)
-    return s ** e
+def _dot_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k x[..., k] y[..., k] in one pass, with no product array."""
+    return np.einsum("...k,...k->...", x, y)
+
+
+def _power_sums(s: np.ndarray, ps, work: np.ndarray) -> dict:
+    """Sums over the last axis of s ** (p/2), {p: s.shape[:-1]}, for s >= 0 or NaN.
+
+    The exponents in use are fused products summed in one pass: s s at p = 4,
+    s sqrt(s) at p = 3, sqrt(s) sqrt(sqrt(s)) at p = 3/2 and c c with
+    c = cbrt(s) at p = 4/3.  p = 2 sums s itself, and any other p sums
+    s ** (p/2).  ``work`` holds two arrays of s's shape, overwritten here.
+    """
+    root, other = work
+    if 3.0 in ps or 1.5 in ps:
+        np.sqrt(s, out=root)
+    sums = {}
+    for p in ps:
+        if p == 2.0:
+            sums[p] = np.sum(s, axis=-1)
+        elif p == 4.0:
+            sums[p] = _dot_last(s, s)
+        elif p == 3.0:
+            sums[p] = _dot_last(s, root)
+        elif p == 1.5:
+            sums[p] = _dot_last(root, np.sqrt(root, out=other))
+        elif p == 4.0 / 3.0:
+            cube = np.cbrt(s, out=other)
+            sums[p] = _dot_last(cube, cube)
+        else:
+            sums[p] = np.sum(np.power(s, 0.5 * p, out=other), axis=-1)
+    return sums
 
 
 def _ring_sums(blocks, n_rows: int, grid: PolarGrid, ps) -> dict:
     """Angular sums of |f|^p per ring, {p: (n_rows, n_r)}, for every p in ``ps``.
 
     ``blocks`` yields (start, rows) with rows a (k, nodes) block of |f|^2
-    values; each block is powered and summed before the next one is made.
+    values, k <= ``_BLOCK_ROWS``; each block is powered and summed before
+    the next one is made, in power buffers allocated once per call.
     """
     rings = {p: np.empty((n_rows, grid.n_r)) for p in ps}
+    work = np.empty((2, min(_BLOCK_ROWS, n_rows), grid.n_r, grid.n_theta))
     for start, rows in blocks:
-        polar = rows.reshape(len(rows), grid.n_r, grid.n_theta)
-        for p in ps:
-            rings[p][start: start + len(rows)] = np.sum(_power(polar, 0.5 * p), axis=-1)
+        k = len(rows)
+        polar = rows.reshape(k, grid.n_r, grid.n_theta)
+        for p, sums in _power_sums(polar, ps, work[:, :k]).items():
+            rings[p][start: start + k] = sums
     return rings
 
 
@@ -335,7 +367,7 @@ def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
     powered and summed over angles in blocks of ``_BLOCK_ROWS``; the sums
     are shared by every alpha.
     """
-    abs_sq = np.asarray(abs_sq)
+    abs_sq = np.asarray(abs_sq, dtype=float)
     lead = abs_sq.shape[:-1]
     flat = abs_sq.reshape(-1, abs_sq.shape[-1])
     blocks = ((i, flat[i: i + _BLOCK_ROWS]) for i in range(0, len(flat), _BLOCK_ROWS))
@@ -373,23 +405,24 @@ def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
     has shape (m,).  At p = 2 every slice has the one norm of the ring
     table (``_p2_rings``), and no node value is computed.  Other exponents
     share one scaled stem fill of f from the same table and fill |f / M_r|^2
-    rows a block at a time, and no (m, nodes) stack is built.
+    rows a block at a time into one reused buffer, and no (m, nodes) stack
+    is built.
     """
-    units = _axis_rows(axes)
+    lifted = _axis_rows(axes)
     out = {}
     for pair in pairs:
         if pair[0] == 2.0:
             norm = math.sqrt(float(np.sum(_p2_rings(f, grid, pair[1]))))
-            out[pair] = np.full(len(units), norm)
+            out[pair] = np.full(len(lifted), norm)
     rest = [pair for pair in pairs if pair[0] != 2.0]
     if rest:
         log_m = np.max(_log_terms(f, grid), axis=(0, 2))  # log M_r, 0 where f = 0
         log_m[log_m == -np.inf] = 0.0
-        a, b = _stem_terms(f, grid, log_m)
-        b2 = 2.0 * b
-        blocks = ((i, _slice_rows(a, b2, units[i: i + _BLOCK_ROWS]))
-                  for i in range(0, len(units), _BLOCK_ROWS))
-        rings = _ring_sums(blocks, len(units), grid, _exponents(rest))
+        basis = _stem_terms(f, grid, log_m)
+        fill = np.empty((min(_BLOCK_ROWS, len(lifted)), grid.size))
+        blocks = ((i, _slice_rows(basis, lifted[i: i + _BLOCK_ROWS], fill))
+                  for i in range(0, len(lifted), _BLOCK_ROWS))
+        rings = _ring_sums(blocks, len(lifted), grid, _exponents(rest))
         out.update(_weighted_norms(rings, grid, rest, log_m))
     return {pair: out[pair] for pair in pairs}
 

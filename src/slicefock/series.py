@@ -190,11 +190,14 @@ class SliceSeries:
 
         A point with a NaN or infinite component gets NaN in every component
         once the degree is at least 1 (0 * inf is NaN in the sweep, and
-        silently so); a constant series gives its constant everywhere.
+        silently so); a constant series gives its constant everywhere, as a
+        broadcast copy with no sweep.
         """
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1:] != (4,):
             raise ValueError("points must form an (..., 4) component array")
+        if self.degree == 0:
+            return np.broadcast_to(self.coeffs[0], pts.shape).copy()
         z, axis = _slice_coords_rows(pts.reshape(-1, 4).T)
         out = np.empty(pts.shape)
         rows = out.reshape(-1, 4).T

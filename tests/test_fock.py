@@ -26,7 +26,8 @@ from slicefock import (
     sample_on_grid,
     slice_sample,
 )
-from slicefock.fock import _power, slice_abs_sq, slice_norms, stem_norms
+from slicefock import fock
+from slicefock.fock import slice_abs_sq, slice_norms, stem_norms
 from slicefock.quaternions import from_frame, random_unit_imaginary, slice_frame, to_frame
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
@@ -238,23 +239,73 @@ def test_norm_finite_at_a_zero_on_a_grid_node(p, rng):
 
 # -- exponent-aware reduction --------------------------------------------------------
 
+def _power_sums_of(s, ps):
+    return fock._power_sums(s, ps, np.empty((2,) + s.shape))
+
+
 @pytest.mark.parametrize("e", [1.0, 2.0, 1.5, 0.75, 2.0 / 3.0])
 def test_power_special_forms_match_pow(e):
-    # float 2/3 lies 3.7e-17 below 2/3, so s ** (2/3) itself drifts from the
-    # true power by 3.7e-17 |ln s| relative; below s = 1e-16 that drift, not
-    # cbrt, would exceed the 2e-15 bound
-    s = np.concatenate([[0.0], np.logspace(-16, 17, 4001)])
-    got = _power(s, e)
-    want = s ** e
-    assert got[0] == 0.0
-    assert np.all(np.abs(got[1:] - want[1:]) <= 2e-15 * want[1:])
-    assert math.isnan(_power(np.array([math.nan]), e)[0])
+    # sums of s ** e at p = 2e, on single values and along rows; the worst
+    # measured is 7.8 eps at p = 4/3 on single values: float 2/3 lies 3.7e-17
+    # below 2/3, so s ** (2/3) itself drifts from the true power by
+    # 3.7e-17 |ln s| relative
+    grid = np.concatenate([[0.0], np.logspace(-16, 17, 4095)])
+    for shape in ((4096, 1), (16, 256), (2, 16, 128)):
+        s = grid.reshape(shape)
+        got = _power_sums_of(s, [2.0 * e])[2.0 * e]
+        want = np.sum(s ** e, axis=-1)
+        assert got.shape == shape[:-1]
+        assert np.all(np.abs(got - want) <= 9 * np.finfo(float).eps * want), shape
+    assert math.isnan(_power_sums_of(np.array([[0.5, math.nan]]), [2.0 * e])[2.0 * e][0])
 
 
 def test_power_other_exponents_are_pow():
-    s = np.logspace(-20, 17, 1001)
+    s = np.logspace(-20, 17, 1024).reshape(4, 256)
     for e in (0.6, 1.25, 2.5, 0.7):
-        assert np.array_equal(_power(s, e), s ** e)
+        assert np.array_equal(_power_sums_of(s, [2.0 * e])[2.0 * e], np.sum(s ** e, axis=-1))
+    # p = 2 sums s itself, and the exponents of one call share the buffers
+    ps = [2.0, 3.0, 1.5, 1.2, 4.0 / 3.0, 4.0]
+    together = _power_sums_of(s, ps)
+    for p in ps:
+        assert np.array_equal(together[p], _power_sums_of(s, [p])[p]), p
+
+
+def test_nan_at_any_node_gives_nan_for_every_p(rng):
+    params = FockParams(n_r=16, n_theta=64)
+    grid = build_grid(params)
+    ps = (4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 2.5)
+    nodes = [0, 1, grid.n_theta - 1, grid.size // 2, grid.size - 1]
+    rows = rng.random((len(nodes) + 1, grid.size))
+    for row, node in zip(rows, nodes):
+        row[node] = math.nan
+    norms = slice_norms(rows, grid, [(p, 1.0) for p in ps])
+    sums = _power_sums_of(rows.reshape(-1, grid.n_r, grid.n_theta), ps)
+    for p in ps:
+        assert np.all(np.isnan(norms[(p, 1.0)][:-1])) and np.isfinite(norms[(p, 1.0)][-1]), p
+        for row, node in zip(sums[p], nodes):
+            assert np.isnan(row[node // grid.n_theta]), p
+            assert np.isfinite(np.delete(row, node // grid.n_theta)).all(), p
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_every_axis_gets_the_same_bits_whatever_the_block_size(domain, rng, monkeypatch):
+    params = FockParams(domain=domain, n_r=16, n_theta=64, n_slices=8)
+    grid = build_grid(params)
+    axes = slice_sample(params.n_slices)
+    pairs = _norm_case_pairs((4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 2.5))
+    series = [make_series(rng, degree) for degree in (0, 3, 12)]
+    results = []
+    for block_rows in (1, 3, 4, 8):
+        monkeypatch.setattr(fock, "_BLOCK_ROWS", block_rows)
+        results.append([(stem_norms(f, axes, grid, pairs), slice_abs_sq(f, axes, grid),
+                         slice_norms(slice_abs_sq(f, axes, grid), grid, pairs))
+                        for f in series])
+    for other in results[1:]:
+        for (norms, rows, row_norms), (norms0, rows0, row_norms0) in zip(other, results[0]):
+            assert np.array_equal(rows, rows0)
+            for pair in pairs:
+                assert np.array_equal(norms[pair], norms0[pair]), pair
+                assert np.array_equal(row_norms[pair], row_norms0[pair]), pair
 
 
 def _norm_case_pairs(ps):
@@ -374,6 +425,18 @@ def test_p_norms_of_monomials_match_the_closed_form_on_the_radius_30_plane(p):
     for degree in (0, 150):
         assert fock_norm_slice(SliceSeries(np.zeros((degree + 1, 4))), J, params, grid) == 0.0
 
+
+
+def test_monomial_norm_reference_past_the_float_range_matches_stem_norms():
+    # gamma(226, 1350) is about e^995, past the largest double, and the
+    # reference keeps it in logs: 25 eps from the closed form, 53 eps from
+    # the n_r = 256 sweep (measured)
+    ref = monomial_norm_reference(150, 3.0, 1.0, 30.0)
+    eps = np.finfo(float).eps
+    assert abs(ref - _plane_monomial_norm(150, Fraction(3))) <= 32 * eps * ref
+    params = FockParams(p=3.0, domain="plane", radius=30.0, degree=150, n_r=256)
+    got = stem_norms(SliceSeries.monomial(150), I, build_grid(params), [(3.0, 1.0)])
+    assert abs(got[(3.0, 1.0)][0] - ref) <= 64 * eps * ref
 
 def test_stem_norms_nan_coefficient_gives_nan(rng):
     params = FockParams(n_r=16, n_theta=64)

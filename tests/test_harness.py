@@ -180,8 +180,8 @@ def test_checks_fail_on_nan_values(check_id, monkeypatch):
 
 def _nan_slice_norms(monkeypatch):
     """NaN for every exponent: the stem terms of p != 2 and the ring table of p = 2."""
-    monkeypatch.setattr(fock, "_stem_terms", lambda f, grid, log_m: (
-        np.full(grid.size, math.nan), np.full((3, grid.size), math.nan)))
+    monkeypatch.setattr(fock, "_stem_terms",
+                        lambda f, grid, log_m: np.full((4, grid.size), math.nan))
     monkeypatch.setattr(fock, "_p2_rings", lambda f, grid, alpha: np.full(grid.n_r, math.nan))
 
 

@@ -67,11 +67,19 @@ def test_lower_incomplete_gamma_domain():
 
 
 def test_lower_incomplete_gamma_huge_scale_terminates_accurately():
-    # magnitude ~2.4e18: the absolute tolerance is unreachable, and the
-    # machine-precision floor must stop the subdivision instead
+    # magnitude ~2.4e18, with about 90 terms of the series past its largest
     ref = gammainc(21.0, 84.5) * gamma_fn(21.0)
     val = lower_incomplete_gamma(21.0, 84.5)
     assert abs(val - ref) <= 1e-12 * ref
+
+
+def test_monomial_gram_reference_vs_scipy_at_rounding_level():
+    # gram-oracle's 39 entries; the worst measured is 2.9e-15 relative
+    # (alpha = 0.5, where the adaptive-Simpson reference was 2.5e-10 off)
+    for alpha in (0.5, 1.0, 2.0):
+        for m in range(13):
+            ref = gammainc(m + 1, alpha) * gamma_fn(m + 1) / alpha ** m
+            assert abs(monomial_gram_reference(m, alpha, 1.0) - ref) <= 3e-15 * ref, (alpha, m)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

@@ -546,6 +546,24 @@ def test_eval_many_shape_contract(rng):
             f.eval_many(bad)
 
 
+
+def test_eval_many_of_a_constant_is_the_broadcast_constant(rng):
+    c = rng.standard_normal(4)
+    f = SliceSeries(c[None, :])
+    big = np.finfo(float).max
+    points = np.concatenate([rng.standard_normal((20, 4)),
+                             [[math.nan] * 4, [0.0, math.inf, 0.0, 0.0], [-math.inf, 1.0, 2.0, 3.0],
+                              [0.0, math.nan, -math.inf, 0.0], [big, big, -big, big],
+                              [0.0, 0.0, 0.0, 0.0]]])
+    for x in (points, points.reshape(2, 13, 4), points[3], points[::2]):
+        got = f.eval_many(x)
+        assert got.shape == x.shape and got.flags.writeable
+        assert_bit_identical(got, np.broadcast_to(c, x.shape))
+    for bad in (np.zeros((5, 3)), np.zeros(())):
+        with pytest.raises(ValueError):
+            f.eval_many(bad)
+
+
 # -- dilation ---------------------------------------------------------------------
 
 def test_dilate_examples(rng):
