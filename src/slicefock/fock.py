@@ -318,8 +318,8 @@ def _power_sums(s: np.ndarray, ps, work: np.ndarray) -> dict:
         elif p == 1.5:
             sums[p] = _dot_last(root, np.sqrt(root, out=other))
         elif p == 4.0 / 3.0:
-            cube = np.cbrt(s, out=other)
-            sums[p] = _dot_last(cube, cube)
+            cbrt = np.cbrt(s, out=other)
+            sums[p] = _dot_last(cbrt, cbrt)
         else:
             sums[p] = np.sum(np.power(s, 0.5 * p, out=other), axis=-1)
     return sums
@@ -367,7 +367,7 @@ def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
     powered and summed over angles in blocks of ``_BLOCK_ROWS``; the sums
     are shared by every alpha.
     """
-    abs_sq = np.asarray(abs_sq, dtype=float)
+    abs_sq = np.asarray(abs_sq)
     lead = abs_sq.shape[:-1]
     flat = abs_sq.reshape(-1, abs_sq.shape[-1])
     blocks = ((i, flat[i: i + _BLOCK_ROWS]) for i in range(0, len(flat), _BLOCK_ROWS))

@@ -426,7 +426,6 @@ def test_p_norms_of_monomials_match_the_closed_form_on_the_radius_30_plane(p):
         assert fock_norm_slice(SliceSeries(np.zeros((degree + 1, 4))), J, params, grid) == 0.0
 
 
-
 def test_monomial_norm_reference_past_the_float_range_matches_stem_norms():
     # gamma(226, 1350) is about e^995, past the largest double, and the
     # reference keeps it in logs: 25 eps from the closed form, 53 eps from
@@ -437,6 +436,7 @@ def test_monomial_norm_reference_past_the_float_range_matches_stem_norms():
     params = FockParams(p=3.0, domain="plane", radius=30.0, degree=150, n_r=256)
     got = stem_norms(SliceSeries.monomial(150), I, build_grid(params), [(3.0, 1.0)])
     assert abs(got[(3.0, 1.0)][0] - ref) <= 64 * eps * ref
+
 
 def test_stem_norms_nan_coefficient_gives_nan(rng):
     params = FockParams(n_r=16, n_theta=64)

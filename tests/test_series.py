@@ -546,7 +546,6 @@ def test_eval_many_shape_contract(rng):
             f.eval_many(bad)
 
 
-
 def test_eval_many_of_a_constant_is_the_broadcast_constant(rng):
     c = rng.standard_normal(4)
     f = SliceSeries(c[None, :])
