@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import decimal
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -201,7 +204,7 @@ def test_nan_axis_is_rejected(bad, rng):
 @pytest.mark.parametrize("domain", ["disk", "plane"])
 def test_sup_norm_is_the_largest_sampled_slice_norm(domain, rng):
     # p = 2 takes the linear form of stem_norms, other p the filled rows
-    for p in (2.0, 3.0):
+    for p in (4.0 / 3.0, 1.5, 2.0, 2.5, 3.0, 4.0):
         params = FockParams(domain=domain, p=p, n_slices=16)
         grid = build_grid(params)
         axes = slice_sample(params.n_slices)
@@ -306,6 +309,45 @@ def test_every_axis_gets_the_same_bits_whatever_the_block_size(domain, rng, monk
             for pair in pairs:
                 assert np.array_equal(norms[pair], norms0[pair]), pair
                 assert np.array_equal(row_norms[pair], row_norms0[pair]), pair
+
+
+# Run in a fresh interpreter whose BLAS thread count is fixed before numpy loads.
+_FILL_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from slicefock import FockParams, Quaternion, build_grid, fock_norm_slice, random_series
+from slicefock.fock import slice_abs_sq, stem_norms
+from slicefock.quadrature import slice_sample
+digest = hashlib.sha256()
+axes = slice_sample(64)
+pairs = [(p, a) for p in (4.0 / 3.0, 1.5, 3.0, 4.0) for a in (0.5, 2.0)]
+for domain in ("disk", "plane"):
+    params = FockParams(domain=domain, p=3.0)
+    grid = build_grid(params)
+    for seed, degree in ((1, 0), (2, 3), (3, 10), (4, 24)):
+        f = random_series(seed, degree)
+        digest.update(slice_abs_sq(f, axes, grid).tobytes())
+        for pair, norms in stem_norms(f, axes, grid, pairs).items():
+            digest.update(norms.tobytes())
+        for u in axes[::7]:
+            digest.update(np.float64(fock_norm_slice(f, Quaternion.from_components(u), params)))
+print(digest.hexdigest())
+"""
+
+
+def test_fills_and_norms_have_the_same_bits_at_one_and_two_blas_threads():
+    # the row fill is a BLAS gemm; OpenBLAS hands part of a product over the
+    # 16,384 nodes of a default grid to its second thread (a reduced grid may not)
+    src = os.path.dirname(os.path.dirname(fock.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _FILL_HASH_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def _norm_case_pairs(ps):

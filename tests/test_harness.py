@@ -24,6 +24,7 @@ from slicefock import (
 from slicefock import checks, cli, fock, harness, series
 from slicefock.checks import run_check
 from slicefock.harness import REPORT_COLUMNS
+from slicefock.reference import monomial_gram_reference
 
 LIGHT_CHECKS = ("quad-calibration", "star-assoc", "star-pointwise", "split-roundtrip")
 
@@ -157,6 +158,21 @@ def test_unit_disk_checks_ignore_the_run_domain(check_id):
     disk = run_check(check_id, RunConfig(**small))
     plane = run_check(check_id, RunConfig(domain="plane", radius=5.0, **small))
     assert (plane.lhs, plane.passed) == (disk.lhs, disk.passed)
+
+
+def test_gram_oracle_sees_a_gram_diagonal_scaled_by_one_plus_1e_minus_12(monkeypatch):
+    # a relative fault of 1e-12 is 4504 eps, above the bound 16 n_r eps = 1024 eps of
+    # the default grid; the former absolute bound 1e-9 let it pass (gamma_m < 1 here)
+    config = RunConfig()
+    assert run_check("gram-oracle", config).passed
+    gram_table = checks.gram_table
+    monkeypatch.setattr(checks, "gram_table", lambda params: gram_table(params) * (1.0 + 1e-12))
+    outcome = run_check("gram-oracle", config)
+    assert not outcome.passed and outcome.lhs > 1e-12 * (1.0 - 1e-3)
+    absolute = [abs(checks.gram_table(FockParams(alpha=alpha, degree=12))[m]
+                    - monomial_gram_reference(m, alpha, 1.0))
+                for alpha in (0.5, 1.0, 2.0) for m in range(13)]
+    assert max(absolute) <= 1e-9
 
 
 def test_split_roundtrip_passes_at_seed_27():
