@@ -39,13 +39,14 @@ u is affine in u:
 
 The Gaussian depends on the radius alone: ring r of the grid carries one
 weight lambda_r = area_r (alpha/pi) e^(-alpha r^2) at each of its n_theta
-nodes (``PolarGrid.ring_weights``).  The angular rule is the equispaced
-trapezoid, so the angular sum of each ring is a DFT: with theta_j =
-2 pi j / n_theta, sum_j e^(-i n theta_j) x_j is bin n mod n_theta of
-``np.fft.fft(x)``, and conj(z)^n aliases mod n_theta on the grid exactly as
-the bins do.  The Gram diagonal and the moments sum over the running
-products lambda_r r^n (``_ring_powers``), which start from the weight, so a
-Gaussian that underflows never meets a power that overflows:
+nodes, and every radial sum reads it in logs (``PolarGrid.log_ring_weights``),
+with each power of r as n log r, so a Gaussian that underflows never meets a
+power that overflows.  The angular rule is the equispaced trapezoid, so the
+angular sum of each ring is a DFT: with theta_j = 2 pi j / n_theta,
+sum_j e^(-i n theta_j) x_j is bin n mod n_theta of ``np.fft.fft(x)``, and
+conj(z)^n aliases mod n_theta on the grid exactly as the bins do.  The Gram
+diagonal and the moments sum over lambda_r r^n = exp(log lambda_r + n log r)
+(``_weighted_powers``):
 
   * Gram diagonal: gamma_m = n_theta sum_r lambda_r r^(2m);
   * moment n of grid samples g, M_n = integral conj(z)^n g dlambda:
@@ -54,21 +55,25 @@ Gaussian that underflows never meets a power that overflows:
     c_n M_n, the inner product sum_n conj(a_n) M_n(g) for f = sum z^n a_n.
 
 Every slice norm reads f from one ring table (``_ring_table``), T[c,r,m] =
-sum over n = m mod n_theta of a_{n,c} r^n e^(s_r), each term formed in logs
-as sign(a) exp(log|a_{n,c}| + n log r + s_r).  As z^n aliases mod n_theta
-on ring r, row r holds the angular Fourier coefficients of e^(s_r) F:
+sum over n = m mod n_theta of a_{n,c} r^n e^(s_r), each term formed from the
+log terms of ``_log_terms`` as sign(a) exp(log|a_{n,c}| + n log r + s_r).
+``stem_norms`` builds one table per call, with s_r = -log M_r and
+M_r = max over n, c of |a_{n,c}| r^n (``slice_abs_sq`` takes s_r = 0).  As
+z^n aliases mod n_theta on ring r, row r holds the angular Fourier
+coefficients of F / M_r.
+(|f|^2 e^(-alpha r^2))^(p/2) folds the Gaussian into the ring weight
+lambda_r(alpha p / 2), which carries the normalization alpha p / (2 pi), and
+every exponent reduces its ring sums of |f / M_r|^p the same way: ring r
+weighs lambda_r M_r^p in logs (``_weighted_norms``), and the ring sums serve
+every alpha.
 
-  * p = 2: s_r = log sqrt(lambda_r), so by Parseval lambda_r sum_theta |F|^2
-    = n_theta sum_{c,m} T[c,r,m]^2, and sum_theta B = 0 exactly, since B
-    pairs F1 with F2 antisymmetrically and T is real.  So every p = 2 slice
-    norm is the same number, computed from the coefficients without a node
-    value, and ``fock_norm_sup`` at p = 2 reports the first sample axis.
-  * p != 2: s_r = -log M_r with M_r = max over n, c of |a_{n,c}| r^n, and
-    F / M_r at the nodes is the conjugate of one ``np.fft.rfft`` of the
-    table (``_stem_terms``).  (|f|^2 e^(-alpha r^2))^(p/2) folds the
-    Gaussian into the ring weight lambda_r(alpha p / 2), which carries the
-    normalization alpha p / (2 pi).  The ring sums of |f / M_r|^p serve
-    every alpha, and ring r weighs lambda_r M_r^p in logs (``_weighted_norms``);
+  * p = 2: by Parseval sum_theta |f / M_r|^2 = n_theta sum_{c,m} T[c,r,m]^2,
+    and sum_theta B = 0 exactly, since B pairs F1 with F2 antisymmetrically
+    and T is real.  So every p = 2 slice norm is the same number, computed
+    from the coefficients without a node value, and ``fock_norm_sup`` at
+    p = 2 reports the first sample axis.
+  * p != 2: F / M_r at the nodes is the conjugate of one ``np.fft.rfft`` of
+    the table (``_stem_terms``);
   * a block of rows A + 2 u.B is one BLAS product (``np.matmul``) of the
     axes [u | 1] against the rows (2B, A), clamped at 0 (``_slice_rows``);
   * the angular sum of |f|^p, with s = |f|^2, is one fused product-sum
@@ -213,10 +218,12 @@ def _log_terms(f: SliceSeries, grid: PolarGrid) -> np.ndarray:
     return log_a[:, None, :] + np.log(grid.r)[:, None] * np.arange(f.degree + 1)
 
 
-def _ring_table(f: SliceSeries, grid: PolarGrid, shift: np.ndarray) -> np.ndarray:
+def _ring_table(f: SliceSeries, grid: PolarGrid, logs: np.ndarray,
+                shift: np.ndarray) -> np.ndarray:
     """T[c,r,m] = sum over n = m mod n_theta of a_{n,c} r^n e^(shift_r), shape
-    (4, n_r, min(degree + 1, n_theta)), each term formed in logs (module docstring)."""
-    terms = np.sign(f.coeffs.T)[:, None, :] * np.exp(_log_terms(f, grid) + shift[:, None])
+    (4, n_r, min(degree + 1, n_theta)), each term formed from the log terms
+    ``logs`` of ``_log_terms`` (module docstring)."""
+    terms = np.sign(f.coeffs.T)[:, None, :] * np.exp(logs + shift[:, None])
     bins = -(-terms.shape[-1] // grid.n_theta)
     if bins > 1:
         terms = np.pad(terms, ((0, 0), (0, 0), (0, bins * grid.n_theta - terms.shape[-1])))
@@ -224,12 +231,12 @@ def _ring_table(f: SliceSeries, grid: PolarGrid, shift: np.ndarray) -> np.ndarra
     return terms
 
 
-def _stem_terms(f: SliceSeries, grid: PolarGrid, log_m: np.ndarray) -> np.ndarray:
-    """Rows (2B1, 2B2, 2B3, A), shape (4, n), with |f|^2 = M_r^2 (A + 2 u.B) at the
-    nodes of every slice u, for log M_r = ``log_m`` (0 gives |f|^2 itself).  F / M_r
-    is the conjugate of the rfft of the table; T is real, so A is even in theta and
-    B odd, and both are formed on the rfft's half of the angles, then mirrored."""
-    spec = np.fft.rfft(_ring_table(f, grid, -log_m), n=grid.n_theta)
+def _stem_terms(table: np.ndarray, grid: PolarGrid) -> np.ndarray:
+    """Rows (2B1, 2B2, 2B3, A), shape (4, n), with e^(2 s_r) |f|^2 = A + 2 u.B at
+    the nodes of every slice u, for the ring table T of shift s_r.  e^(s_r) F is
+    the conjugate of the rfft of T; T is real, so A is even in theta and B odd,
+    and both are formed on the rfft's half of the angles, then mirrored."""
+    spec = np.fft.rfft(table, n=grid.n_theta)
     s, v1, v2, v3 = spec.real
     t, w1, w2, w3 = spec.imag  # F2 is (-t, -w), so B is -1 times the form below
     basis = np.empty((4, grid.n_r, grid.n_theta))
@@ -290,7 +297,7 @@ def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
     the clamp of ``_slice_rows`` reads rows still in cache (faster than one
     product and one clamp over the whole stack).
     """
-    basis = _stem_terms(f, grid, np.zeros(grid.n_r))
+    basis = _stem_terms(_ring_table(f, grid, _log_terms(f, grid), np.zeros(grid.n_r)), grid)
     lifted = _axis_rows(u)
     rows = np.empty((len(lifted), grid.size))
     for i in range(0, len(lifted), _BLOCK_ROWS):
@@ -389,55 +396,34 @@ def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
     return _weighted_norms(rings, grid, pairs, 0.0)
 
 
-def _ring_powers(start: np.ndarray, step: np.ndarray, degree: int) -> np.ndarray:
-    """start * step^n per ring, n = 0..degree, shape (n_r, degree + 1).
-
-    A running product from ``start``: step^n is never formed alone, so an
-    underflowed weight never meets an overflowed power (0 * inf = NaN).
-    """
-    table = np.empty((start.size, degree + 1))
-    table[:, 0] = start
-    table[:, 1:] = step[:, None]
-    return np.cumprod(table, axis=1)
-
-
-def _p2_rings(f: SliceSeries, grid: PolarGrid, alpha: float) -> np.ndarray:
-    """lambda_r sum_theta |f|^2 on each ring, shape (n_r,), the same on every slice.
-
-    n_theta sum_{c,m} T[c,r,m]^2 by Parseval, for the ring table T of shift
-    log sqrt(lambda_r) (module docstring): |f|^2 itself is never formed.
-    """
-    table = _ring_table(f, grid, 0.5 * grid.log_ring_weights(alpha))
-    return grid.n_theta * np.sum(table * table, axis=(0, 2))
-
-
 def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
     """Weighted p-norms of f on the slice of each axis, for every (p, alpha) pair.
 
     ``axes`` is one unit imaginary or an (m, 4) array of them; each result
-    has shape (m,).  At p = 2 every slice has the one norm of the ring
-    table (``_p2_rings``), and no node value is computed.  Other exponents
-    share one scaled stem fill of f from the same table and fill |f / M_r|^2
-    rows a block at a time into one reused buffer, and no (m, nodes) stack
-    is built.
+    has shape (m,).  Every exponent reads one ring table of f, scaled by
+    1 / M_r.  At p = 2 its Parseval sums are the ring sums of every slice,
+    and no node value is computed.  Other exponents share one stem fill of
+    f from the same table and fill |f / M_r|^2 rows a block at a time into
+    one reused buffer, and no (m, nodes) stack is built.
     """
     lifted = _axis_rows(axes)
-    out = {}
-    for pair in pairs:
-        if pair[0] == 2.0:
-            norm = math.sqrt(float(np.sum(_p2_rings(f, grid, pair[1]))))
-            out[pair] = np.full(len(lifted), norm)
-    rest = [pair for pair in pairs if pair[0] != 2.0]
+    logs = _log_terms(f, grid)
+    log_m = np.max(logs, axis=(0, 2))  # log M_r, 0 where f = 0
+    log_m[log_m == -np.inf] = 0.0
+    table = _ring_table(f, grid, logs, -log_m)
+    ps = _exponents(pairs)
+    rest = [p for p in ps if p != 2.0]
+    rings = {}
     if rest:
-        log_m = np.max(_log_terms(f, grid), axis=(0, 2))  # log M_r, 0 where f = 0
-        log_m[log_m == -np.inf] = 0.0
-        basis = _stem_terms(f, grid, log_m)
+        basis = _stem_terms(table, grid)
         fill = np.empty((min(_BLOCK_ROWS, len(lifted)), grid.size))
         blocks = ((i, _slice_rows(basis, lifted[i: i + _BLOCK_ROWS], fill))
                   for i in range(0, len(lifted), _BLOCK_ROWS))
-        rings = _ring_sums(blocks, len(lifted), grid, _exponents(rest))
-        out.update(_weighted_norms(rings, grid, rest, log_m))
-    return {pair: out[pair] for pair in pairs}
+        rings = _ring_sums(blocks, len(lifted), grid, rest)
+    if 2.0 in ps:
+        parseval = grid.n_theta * np.sum(table * table, axis=(0, 2))
+        rings[2.0] = np.broadcast_to(parseval, (len(lifted), grid.n_r))
+    return _weighted_norms(rings, grid, pairs, log_m)
 
 
 def fock_norm_slice(f: SliceSeries, u: Quaternion, params: FockParams,
@@ -480,14 +466,20 @@ def fock_norm_sup(f: SliceSeries, params: FockParams,
     return SupNorm(float(norms[best]), Quaternion.from_components(axes[best]))
 
 
+def _weighted_powers(grid: PolarGrid, alpha: float, n: np.ndarray) -> np.ndarray:
+    """lambda_r r^n per ring and exponent, shape (n_r, len(n)), formed in logs as
+    exp(log lambda_r + n log r), so an underflowed weight never meets an
+    overflowed power (0 * inf = NaN)."""
+    return np.exp(grid.log_ring_weights(alpha)[:, None] + np.log(grid.r)[:, None] * n)
+
+
 def _moments(c1, c2, grid: PolarGrid, alpha: float, degree: int) -> np.ndarray:
     """Moments M_n, n = 0..degree, of the samples c1 + c2 v at the grid nodes,
     as frame pairs, shape (2, degree + 1): one FFT per ring (module docstring)."""
     rows = np.stack([c1, c2]).reshape(2, grid.n_r, grid.n_theta)
     spectrum = np.fft.fft(rows, axis=-1)
-    bins = np.arange(degree + 1) % grid.n_theta
-    powers = _ring_powers(grid.ring_weights(alpha), grid.r, degree)
-    return np.sum(spectrum[:, :, bins] * powers, axis=1)
+    n = np.arange(degree + 1)
+    return np.sum(spectrum[:, :, n % grid.n_theta] * _weighted_powers(grid, alpha, n), axis=1)
 
 
 def inner_product(f: SliceSeries, g: SliceSeries, u: Quaternion, params: FockParams,
@@ -512,15 +504,17 @@ def inner_product(f: SliceSeries, g: SliceSeries, u: Quaternion, params: FockPar
 def gram_table(params: FockParams, grid: Optional[PolarGrid] = None) -> np.ndarray:
     """Monomial Gram diagonal ||q^m||^2, m = 0..degree, measured with the grid.
 
-    A read-only (degree + 1,) array, the radial sum of the ring table,
-    gamma_m = n_theta sum_r lambda_r r^(2m).  On the unit disk the entries
-    match the incomplete-gamma values gamma(m+1, alpha)/alpha^m; in plane
-    mode they approach m!/alpha^m as the truncation radius grows.  A grid,
-    if given, must be the params' grid (else ValueError).
+    A read-only (degree + 1,) array, the radial sum
+    gamma_m = n_theta sum_r lambda_r r^(2m), inf where gamma_m is past the
+    float range.  On the unit disk the entries match the incomplete-gamma
+    values gamma(m+1, alpha)/alpha^m; in plane mode they approach
+    m!/alpha^m as the truncation radius grows.  A grid, if given, must be
+    the params' grid (else ValueError).
     """
     grid = _params_grid(params, grid)
-    powers = _ring_powers(grid.ring_weights(params.alpha), grid.r * grid.r, params.degree)
-    diag = grid.n_theta * np.sum(powers, axis=0)
+    with np.errstate(over="ignore"):
+        powers = _weighted_powers(grid, params.alpha, 2 * np.arange(params.degree + 1))
+        diag = grid.n_theta * np.sum(powers, axis=0)
     diag.flags.writeable = False
     return diag
 

@@ -4,8 +4,10 @@ The grid is a tensor product of Gauss-Legendre nodes in the radius (with
 the polar Jacobian folded into the weights) and equispaced angles with the
 trapezoid rule, which is exact for trigonometric polynomials of degree
 below the angle count.  Every node of a ring has the same weight, so the
-grid keeps one Lebesgue area weight per ring; Gaussian-measure weights are
-derived from it on demand, since the Gaussian depends on the radius alone.
+grid keeps one Lebesgue area weight per ring.  The Gaussian depends on the
+radius alone, so its measure weights are derived from that area on demand,
+in logs (``PolarGrid.log_ring_weights``): a weight that underflows stays a
+finite log, to be added to the log of a power that would overflow.
 
 The slice sample is the one format of the sphere of unit imaginaries that
 the norm code reads: a cached, read-only (m, 4) array of quaternion
@@ -41,17 +43,14 @@ class PolarGrid:
     def size(self) -> int:
         return self.z.size
 
-    def ring_weights(self, alpha: float) -> np.ndarray:
-        """Weight lambda_r of (alpha/pi) exp(-alpha r^2) dA at each node of ring r,
-        shape (n_r,): the one definition of the Gaussian weight."""
-        return self.ring_area * (alpha / math.pi) * np.exp(-alpha * self.r * self.r)
-
     def log_ring_weights(self, alpha: float) -> np.ndarray:
-        """log lambda_r, finite on every ring even where lambda_r underflows."""
+        """log lambda_r, the weight of (alpha/pi) exp(-alpha r^2) dA at each node of
+        ring r, shape (n_r,): the one form of the Gaussian weight, finite on every
+        ring even where lambda_r underflows."""
         return np.log(self.ring_area) + math.log(alpha / math.pi) - alpha * self.r * self.r
 
     def gaussian_mass(self, alpha: float) -> float:
-        return float(self.n_theta * np.sum(self.ring_weights(alpha)))
+        return float(self.n_theta * np.sum(np.exp(self.log_ring_weights(alpha))))
 
 
 @functools.lru_cache(maxsize=16)

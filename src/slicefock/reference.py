@@ -2,8 +2,8 @@
 
 The Gaussian disk mass is a closed form, and the monomial Gram and norm
 references go through the power series of the lower incomplete gamma
-function.  ``adaptive_simpson`` integrates in one variable.  Nothing here
-shares code with the polar product grids it certifies.
+function, kept in logs, so a value past the float range is inf.  Nothing
+here shares code with the polar product grids it certifies.
 """
 
 from __future__ import annotations
@@ -14,49 +14,11 @@ _EPS = 2.0 ** -52
 _RESCALE = 2.0 ** 512
 
 __all__ = [
-    "adaptive_simpson",
     "lower_incomplete_gamma",
     "gaussian_disk_mass",
     "monomial_gram_reference",
     "monomial_norm_reference",
 ]
-
-
-def _simpson(a, fa, b, fb, fm):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(a, fa, m, fm, flm)
-    right = _simpson(m, fm, b, fb, frm)
-    delta = left + right - whole
-    # the rounding floor keeps huge-magnitude integrals from subdividing
-    # past the precision the arithmetic can deliver; a NaN delta stops too,
-    # since bisecting cannot make it finite
-    stop = 15.0 * max(tol, 4e-16 * (abs(left) + abs(right)))
-    if depth <= 0 or not abs(delta) > stop:
-        return left + right + delta / 15.0
-    return (_adapt(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
-            + _adapt(f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature of f on [a, b].
-
-    The tolerance is absolute, floored locally by machine precision
-    relative to the integrand's magnitude.
-    """
-    if b == a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(a, fa, b, fb, fm)
-    return _adapt(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
 
 
 def _log_lower_incomplete_gamma(s: float, x: float) -> float:
@@ -96,11 +58,18 @@ def _log_lower_incomplete_gamma(s: float, x: float) -> float:
     return s * math.log(x) - x + log_scale + math.log(total)
 
 
+def _exp(x: float) -> float:
+    """e^x, inf past the float range (where ``math.exp`` raises OverflowError)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def lower_incomplete_gamma(s: float, x: float) -> float:
     """Lower incomplete gamma integral of t^(s-1) e^(-t) over [0, x], s >= 1,
-    by the series of ``_log_lower_incomplete_gamma`` (OverflowError past the
-    float range)."""
-    return math.exp(_log_lower_incomplete_gamma(s, x))
+    by the series of ``_log_lower_incomplete_gamma`` (inf past the float range)."""
+    return _exp(_log_lower_incomplete_gamma(s, x))
 
 
 def gaussian_disk_mass(alpha: float, r_max: float) -> float:
@@ -113,8 +82,9 @@ def gaussian_disk_mass(alpha: float, r_max: float) -> float:
 
 
 def monomial_gram_reference(m: int, alpha: float, r_max: float) -> float:
-    """Squared Gaussian-measure norm of q^m on the radius-r_max slice disk."""
-    return lower_incomplete_gamma(m + 1, alpha * r_max * r_max) / alpha ** m
+    """Squared Gaussian-measure norm of q^m on the radius-r_max slice disk,
+    gamma_lower(m + 1, alpha r_max^2) / alpha^m, inf past the float range."""
+    return _exp(_log_lower_incomplete_gamma(m + 1, alpha * r_max * r_max) - m * math.log(alpha))
 
 
 def monomial_norm_reference(m: int, p: float, alpha: float, r_max: float) -> float:
@@ -127,4 +97,4 @@ def monomial_norm_reference(m: int, p: float, alpha: float, r_max: float) -> flo
     beta = 0.5 * alpha * p
     s = 0.5 * m * p + 1.0
     log_val = _log_lower_incomplete_gamma(s, beta * r_max * r_max) - (s - 1.0) * math.log(beta)
-    return math.exp(log_val / p)
+    return _exp(log_val / p)

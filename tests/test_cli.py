@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -107,6 +108,17 @@ def test_gram_max_degree_is_a_print_limit(capsys):
     assert main(["gram", "--max-degree", "3", "--degree", "5"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [int(line.split()[0]) for line in rows] == [0, 1, 2, 3]
+
+
+def test_gram_prints_inf_past_the_float_range(capsys):
+    # gamma_171 is about 171! = 1.2e309 on the radius-30 plane, past the largest
+    # double: both columns read inf, with no OverflowError and no overflow warning
+    assert main(["gram", "--domain", "plane", "--radius", "30", "--quad-r", "128",
+                 "--degree", "180", "--max-degree", "180"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 181
+    assert all(math.isfinite(float(row[1])) and math.isfinite(float(row[2])) for row in rows[:171])
+    assert all(row[1:3] == ["inf", "inf"] for row in rows[171:])
 
 
 def test_verify_small_subset_passes(capsys):

@@ -447,15 +447,16 @@ def _plane_monomial_norm(n: int, p: Fraction) -> float:
         return float(log_norm.exp())
 
 
-@pytest.mark.parametrize("p", [Fraction(4, 3), Fraction(3, 2), Fraction(3), Fraction(4)],
-                         ids=["4/3", "3/2", "3", "4"])
+@pytest.mark.parametrize("p", [Fraction(4, 3), Fraction(3, 2), Fraction(2), Fraction(3),
+                               Fraction(4)], ids=["4/3", "3/2", "2", "3", "4"])
 def test_p_norms_of_monomials_match_the_closed_form_on_the_radius_30_plane(p):
     # |q^150|^3 e^(-3 r^2 / 2) is about e^903 at its peak, past the largest
     # double, and the Gaussian underflows where r^450 overflows; at r = 30 every
     # integrand here is below e^-300 of its peak.  Worst gaps measured over
-    # n in (0, 6, 30, 90, 150): 102 eps at p = 4/3, 44 eps at p = 3/2, 79 eps
-    # at p = 3 (n = 150) and 63 eps at p = 4, from the exp of log terms of
-    # size n log r + alpha p r^2 / 2.
+    # n in (0, 6, 30, 90, 150): 102 eps at p = 4/3, 44 eps at p = 3/2, 54 eps
+    # at p = 2 (n = 90, an oracle of the Parseval path apart from gram_table),
+    # 79 eps at p = 3 (n = 150) and 63 eps at p = 4, from the exp of log terms
+    # of size n log r + alpha p r^2 / 2.
     params = FockParams(p=float(p), domain="plane", radius=30.0, degree=150, n_r=256)
     grid = build_grid(params)
     eps = np.finfo(float).eps
@@ -478,6 +479,18 @@ def test_monomial_norm_reference_past_the_float_range_matches_stem_norms():
     params = FockParams(p=3.0, domain="plane", radius=30.0, degree=150, n_r=256)
     got = stem_norms(SliceSeries.monomial(150), I, build_grid(params), [(3.0, 1.0)])
     assert abs(got[(3.0, 1.0)][0] - ref) <= 64 * eps * ref
+
+
+@pytest.mark.parametrize("ps", [(2.0,), (3.0,), (2.0, 4.0, 1.5)], ids=["2", "3", "mixed"])
+def test_stem_norms_builds_one_ring_table_per_call(ps, monkeypatch, rng):
+    calls = []
+    for name in ("_log_terms", "_ring_table"):
+        real = getattr(fock, name)
+        monkeypatch.setattr(fock, name, lambda *args, _name=name, _real=real:
+                            calls.append(_name) or _real(*args))
+    grid = build_grid(FockParams(n_r=16, n_theta=64))
+    stem_norms(make_series(rng, 9), slice_sample(8), grid, _norm_case_pairs(ps))
+    assert sorted(calls) == ["_log_terms", "_ring_table"]
 
 
 def test_stem_norms_nan_coefficient_gives_nan(rng):

@@ -195,13 +195,12 @@ def test_checks_fail_on_nan_values(check_id, monkeypatch):
 
 
 def _nan_slice_norms(monkeypatch):
-    """NaN for every exponent: the stem terms of p != 2 and the ring table of p = 2."""
-    monkeypatch.setattr(fock, "_stem_terms",
-                        lambda f, grid, log_m: np.full((4, grid.size), math.nan))
-    monkeypatch.setattr(fock, "_p2_rings", lambda f, grid, alpha: np.full(grid.n_r, math.nan))
+    """NaN for every exponent: the ring table is the one grid reader of every slice norm."""
+    monkeypatch.setattr(fock, "_ring_table",
+                        lambda f, grid, logs, shift: np.full(logs.shape, math.nan))
 
 
-# norm-sandwich also reads the stem terms but still skips NaN ratios: perfbench's
+# norm-sandwich also reads the ring table but still skips NaN ratios: perfbench's
 # test_nan_injection_raises_fail_ratio pins that loop
 @pytest.mark.parametrize("check_id", ["growth-bound", "growth-normalized", "embedding",
                                       "dilation", "poly-density"])
