@@ -3,7 +3,9 @@
 Subcommands: verify (run the check suite and emit reports), eval (evaluate
 a series file at a point), norm (weighted norms of a series file), kernel
 (compare the exponential and Gram-normalized kernels), gram (print the
-monomial Gram diagonal against its slow reference).
+monomial Gram diagonal for degrees 0..--degree against its slow reference,
+with the relative gap |measured - reference| / measured that the
+gram-oracle check bounds; "-" where the diagonal is past the float range).
 
 Run settings come from one table, _CONFIG_KEYS: each key is a --<key> flag
 and a key=value line of a --config file (flags win), parsed by the key's
@@ -23,6 +25,7 @@ Exit codes: 0 all requested checks pass, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 
@@ -181,17 +184,14 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
-    if args.max_degree is not None and args.max_degree < 0:
-        raise UsageError("--max-degree, the print limit (largest degree printed), must be "
-                         "non-negative, got %d" % args.max_degree)
     params = _build_config(args)
     diag = gram_table(params)
-    top = min(params.degree, 16 if args.max_degree is None else args.max_degree)
-    print("m   measured              reference             abs-err")
-    for m in range(top + 1):
-        # as Python floats, inf past the float range and a quiet NaN gap there
+    print("m   measured              reference             rel-gap")
+    for m in range(params.degree + 1):
+        # as Python floats: inf past the float range, where no relative gap exists
         got, ref = float(diag[m]), monomial_gram_reference(m, params.alpha, params.r_max)
-        print("%-3d %-21.15g %-21.15g %.3g" % (m, got, ref, abs(got - ref)))
+        gap = "%.3g" % (abs(got - ref) / got) if 0.0 < got < math.inf else "-"
+        print("%-3d %-21.15g %-21.15g %s" % (m, got, ref, gap))
     return 0
 
 
@@ -227,10 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_kernel, _PARAM_KEYS)
     p_kernel.set_defaults(func=_cmd_kernel, config_type=FockParams)
 
-    p_gram = sub.add_parser("gram", help="monomial Gram diagonal vs. slow reference")
+    p_gram = sub.add_parser("gram", help="monomial Gram diagonal for degrees 0..--degree vs. "
+                                         "slow reference, with their relative gap")
     _add_flags(p_gram, _PARAM_KEYS)
-    p_gram.add_argument("--max-degree", type=int, default=None,
-                        help="largest monomial degree to print (default 16)")
     p_gram.set_defaults(func=_cmd_gram, config_type=FockParams)
 
     return parser

@@ -95,30 +95,33 @@ def test_kernel_command_real_plane(capsys):
 
 
 def test_gram_command(capsys):
-    assert main(["gram", "--degree", "6", "--max-degree", "6"]) == 0
+    assert main(["gram", "--degree", "6"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("m")
     assert len(out.splitlines()) == 8
 
 
-def test_gram_max_degree_is_a_print_limit(capsys):
-    assert main(["gram", "--max-degree", "-1"]) == 2
-    err = capsys.readouterr().err
-    assert "print limit" in err and "draws" not in err
-    assert main(["gram", "--max-degree", "3", "--degree", "5"]) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert [int(line.split()[0]) for line in rows] == [0, 1, 2, 3]
+def test_gram_has_no_max_degree_option(capsys):
+    # --degree alone sizes the table and its printout
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--max-degree", "3"])
+    assert exc.value.code == 2
+    assert "--max-degree" in capsys.readouterr().err
 
 
 def test_gram_prints_inf_past_the_float_range(capsys):
     # gamma_171 is about 171! = 1.2e309 on the radius-30 plane, past the largest
-    # double: both columns read inf, with no OverflowError and no overflow warning
+    # double: both columns read inf and the gap "-", with no OverflowError, no
+    # overflow warning and no nan; below it the relative gap is what gram-oracle bounds
     assert main(["gram", "--domain", "plane", "--radius", "30", "--quad-r", "128",
-                 "--degree", "180", "--max-degree", "180"]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
-    assert len(rows) == 181
+                 "--degree", "180"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].split()[-1] == "rel-gap" and "nan" not in out
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(181))
     assert all(math.isfinite(float(row[1])) and math.isfinite(float(row[2])) for row in rows[:171])
-    assert all(row[1:3] == ["inf", "inf"] for row in rows[171:])
+    assert all(float(row[3]) <= 16 * 128 * 2.0 ** -52 for row in rows[:171])
+    assert all(row[1:] == ["inf", "inf", "-"] for row in rows[171:])
 
 
 def test_verify_small_subset_passes(capsys):

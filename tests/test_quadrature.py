@@ -52,8 +52,16 @@ def test_references_are_inf_past_the_float_range():
     assert math.isfinite(monomial_gram_reference(170, 1.0, 30.0))
 
 
+def test_lower_incomplete_gamma_keeps_full_precision_at_large_x():
+    # Q(s, x) is below rounding here, so gamma(s, x) is Gamma(s) to the last bit
+    assert lower_incomplete_gamma(1, 400.0) == 1.0
+    assert lower_incomplete_gamma(1, 900.0) == 1.0
+    assert monomial_gram_reference(0, 1.0, 30.0) == 1.0
+    assert lower_incomplete_gamma(11, 900.0) == math.gamma(11)
+
+
 def test_lower_incomplete_gamma_huge_scale_terminates_accurately():
-    # magnitude ~2.4e18; the series stops after 149 terms, 86 past its largest
+    # magnitude ~2.4e18, from the continued fraction (x > s + 1)
     ref = gammainc(21.0, 84.5) * gamma_fn(21.0)
     val = lower_incomplete_gamma(21.0, 84.5)
     assert abs(val - ref) <= 1e-12 * ref
