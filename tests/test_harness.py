@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +194,64 @@ def test_checks_fail_on_nan_values(check_id, monkeypatch):
                         lambda self, points: np.full(np.shape(points), math.nan))
     outcome = run_check(check_id, RunConfig(n_r=16, n_theta=64))
     assert math.isnan(outcome.lhs) and not outcome.passed
+
+
+DRAW_COUNTS = {"star-assoc": 200, "star-conj-real": 200, "split-roundtrip": 100,
+               "rep-formula": 100, "star-reciprocal": 200, "star-pointwise": 500,
+               "hermiticity": 100, "embedding": 100, "dilation": 50}
+
+
+def test_registry_holds_the_default_draw_counts():
+    assert {cid: spec.count for cid, spec in REGISTRY.items() if spec.count} == DRAW_COUNTS
+    # an entry is either draw-wise (count, draw, judge) or a whole check (run)
+    for spec in REGISTRY.values():
+        assert (spec.run is None) == (spec.count > 0) == callable(spec.draw) == callable(
+            spec.judge)
+
+
+def test_run_check_draws_count_rows_in_order_on_the_check_generator(monkeypatch):
+    config = RunConfig(seed=5)
+    spec = REGISTRY["star-conj-real"]
+    replay = np.random.default_rng([config.seed, zlib.crc32(b"star-conj-real")])
+    ks, replayed = [], []
+
+    def draw(rng, k, cfg):
+        # one generator, (seed, check id), stepped only by the draws before this one
+        assert cfg is config
+        assert rng.bit_generator.state == replay.bit_generator.state
+        ks.append(k)
+        replayed.append(spec.draw(replay, k, cfg))
+        return spec.draw(rng, k, cfg)
+
+    monkeypatch.setitem(REGISTRY, "star-conj-real", replace(spec, count=3, draw=draw))
+    outcome = run_check("star-conj-real", config)
+    assert ks == [0, 1, 2]
+    assert outcome.lhs == max(replayed) and outcome.passed
+
+
+@pytest.mark.parametrize("check_id", sorted(cid for cid, s in REGISTRY.items() if s.count))
+def test_draw_wise_checks_fail_on_a_nan_last_row(check_id, monkeypatch):
+    spec = REGISTRY[check_id]
+
+    def draw(rng, k, config):
+        row = np.asarray(spec.draw(rng, k, config), dtype=float)
+        return np.full_like(row, math.nan) if k == spec.count - 1 else row
+
+    monkeypatch.setitem(REGISTRY, check_id, replace(spec, draw=draw))
+    outcome = run_check(check_id, RunConfig(n_r=16, n_theta=64, n_slices=8))
+    assert math.isnan(outcome.lhs) and not outcome.passed
+
+
+def test_n_series_changes_the_norm_sandwich_record_alone(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "_GROWTH_CACHE", {})
+    small = ["--quad-r", "16", "--quad-theta", "64", "--slices", "8", "--emit-report"]
+    reports = []
+    for n_series in ("1", "4"):
+        cli.main(["verify", "--n-series", n_series] + small)
+        reports.append({r["check_id"]: r for r in json.loads(capsys.readouterr().out)})
+    assert set(reports[0]) == set(reports[1]) == set(DEFAULT_CHECKS)
+    moved = {cid for cid in DEFAULT_CHECKS if reports[0][cid] != reports[1][cid]}
+    assert moved == {"norm-sandwich"}
 
 
 def _nan_slice_norms(monkeypatch):
