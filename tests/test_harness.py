@@ -162,6 +162,22 @@ def test_unit_disk_checks_ignore_the_run_domain(check_id):
     assert (plane.lhs, plane.passed) == (disk.lhs, disk.passed)
 
 
+@pytest.mark.parametrize("check_id, reads_radius", [("rep-kernel-disk", False),
+                                                    ("rep-kernel-plane-r4", False),
+                                                    ("rep-kernel-plane", True)])
+def test_kernel_checks_set_their_domain_inside_the_draws(check_id, reads_radius):
+    # each draw replaces the run's domain: the unit disk, the radius-4 plane, or the
+    # plane at the run radius, whatever --domain says
+    small = dict(n_r=16, n_theta=64)
+    configs = [RunConfig(**small)] + [RunConfig(domain="plane", radius=radius, **small)
+                                      for radius in (5.0, 6.5, 8.0)]
+    records = [run_check(check_id, config).record() for config in configs]
+    if reads_radius:
+        assert len({record["lhs"] for record in records[1:]}) == 3
+    else:
+        assert all(record == records[0] for record in records)
+
+
 def test_gram_oracle_sees_a_gram_diagonal_scaled_by_one_plus_1e_minus_12(monkeypatch):
     # a relative fault of 1e-12 is 4504 eps, above the bound 16 n_r eps = 1024 eps of
     # the default grid; the former absolute bound 1e-9 let it pass (gamma_m < 1 here)
@@ -198,7 +214,8 @@ def test_checks_fail_on_nan_values(check_id, monkeypatch):
 
 DRAW_COUNTS = {"star-assoc": 200, "star-conj-real": 200, "split-roundtrip": 100,
                "rep-formula": 100, "star-reciprocal": 200, "star-pointwise": 500,
-               "hermiticity": 100, "embedding": 100, "dilation": 50}
+               "hermiticity": 100, "embedding": 100, "dilation": 50, "poly-density": 1,
+               "rep-kernel-disk": 9, "rep-kernel-plane": 9, "rep-kernel-plane-r4": 9}
 
 
 def test_registry_holds_the_default_draw_counts():
@@ -209,10 +226,13 @@ def test_registry_holds_the_default_draw_counts():
             spec.judge)
 
 
-def test_run_check_draws_count_rows_in_order_on_the_check_generator(monkeypatch):
+@pytest.mark.parametrize("check_id, count", [("star-conj-real", 3), ("rep-kernel-disk", 9)],
+                         ids=["star-conj-real", "rep-kernel-disk"])
+def test_run_check_draws_count_rows_in_order_on_the_check_generator(check_id, count,
+                                                                   monkeypatch):
     config = RunConfig(seed=5)
-    spec = REGISTRY["star-conj-real"]
-    replay = np.random.default_rng([config.seed, zlib.crc32(b"star-conj-real")])
+    spec = REGISTRY[check_id]
+    replay = np.random.default_rng([config.seed, zlib.crc32(check_id.encode())])
     ks, replayed = [], []
 
     def draw(rng, k, cfg):
@@ -223,10 +243,10 @@ def test_run_check_draws_count_rows_in_order_on_the_check_generator(monkeypatch)
         replayed.append(spec.draw(replay, k, cfg))
         return spec.draw(rng, k, cfg)
 
-    monkeypatch.setitem(REGISTRY, "star-conj-real", replace(spec, count=3, draw=draw))
-    outcome = run_check("star-conj-real", config)
-    assert ks == [0, 1, 2]
-    assert outcome.lhs == max(replayed) and outcome.passed
+    monkeypatch.setitem(REGISTRY, check_id, replace(spec, count=count, draw=draw))
+    outcome = run_check(check_id, config)
+    assert ks == list(range(count))
+    assert outcome.lhs == np.max(replayed) and outcome.passed
 
 
 @pytest.mark.parametrize("check_id", sorted(cid for cid, s in REGISTRY.items() if s.count))
