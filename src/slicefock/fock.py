@@ -84,9 +84,21 @@ every alpha.
     (512 kB of rows on the default grid), in fill and power buffers that one
     sweep allocates once and reuses in every block.
 
-The single-slice paths (grid samples, projection, the inner product's g)
-split f as F + G v in the frame (1, u, v, uv) of ``quaternions.slice_frame``
-through ``to_frame``/``from_frame``: two complex Horner rows, not four.
+Grid samples (``sample_on_grid``) read a ring table too.  Its shift is
+-k_r log 2, with 2^k_r the power of two at or below M_r, and its log terms
+split each r as 2^e m (``_scaled_log_terms``), so that they carry the
+rounding of n log2 m, not of n log r.  The values of a slice are one gemm
+of the rows (T_m, u T_m) against cos m theta_j and sin m theta_j, gathered
+from one cached base of the grid's angles at index m j mod n_theta, and
+each ring is multiplied back by 2^k_r exactly: past the float range a
+value is +-inf, never NaN.  The projection splits its samples, and the
+inner product splits g, as F + G v in the frame (1, u, v, uv) of
+``quaternions.slice_frame`` through ``to_frame``/``from_frame``.  The
+inner product keeps its g samples on that split and the complex Horner
+sweep (``SplitPair.eval_components``): samples taken from the ring table
+would hand ``_moments`` back nearly the table itself, and orthogonality
+and hermiticity would hold almost by construction, not as residuals of
+the quadrature.
 
 The row fill is the one BLAS call.  It is a gemm, which gives a row the
 same bits whatever the block size and the number of BLAS threads (a
@@ -101,6 +113,7 @@ thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -581,7 +594,78 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     return SliceSeries(from_frame(a, b, frame))
 
 
+@functools.lru_cache(maxsize=4)
+def _angle_base(n_theta: int) -> np.ndarray:
+    """Rows (cos theta_k, sin theta_k), shape (2, n_theta), at the grid's angles
+    theta_k = 2 pi k / n_theta (``quadrature.build_polar_grid``); read-only."""
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    base = np.stack([np.cos(theta), np.sin(theta)])
+    base.flags.writeable = False
+    return base
+
+
+# Angular columns of ``sample_on_grid`` gathered and multiplied together: 1 MB
+# of (cos m theta, sin m theta) rows, every angle of the default grid at degree 32.
+_ANGLE_BYTES = 1 << 20
+
+
+def _scaled_log_terms(f: SliceSeries, grid: PolarGrid):
+    """log(|a_{n,c}| r^n 2^-k_r), shape (4, n_r, degree + 1), and the ring
+    exponents k_r, with 2^k_r <= M_r < 2^(k_r + 1) (k_r = 0 where f = 0 or
+    M_r is not finite).
+
+    Each r is 2^e m with e an integer and |log2 m| <= 1/2, and the exponent
+    n e - k_r is an exact integer, so the only rounding of any size is that
+    of n log2 m: the log term of the largest power carries a few units of
+    rounding, not the n |log r| units of ``_log_terms``.
+    """
+    e = np.round(np.log2(grid.r))
+    log2_m = np.log2(np.ldexp(grid.r, -e.astype(int)))
+    n = np.arange(f.degree + 1)
+    with np.errstate(divide="ignore"):
+        log2_a = np.log2(np.abs(f.coeffs.T))
+    whole = e[:, None] * n
+    top = np.max(np.max(log2_a, axis=0) + (whole + log2_m[:, None] * n), axis=1)
+    k = np.where(np.isfinite(top), np.floor(top), 0.0)
+    frac = log2_a[:, None, :] + log2_m[:, None] * n
+    return ((whole - k[:, None]) + frac) * math.log(2.0), k
+
+
 def sample_on_grid(f: SliceSeries, u: Quaternion, grid: PolarGrid) -> np.ndarray:
-    """Values of f at the grid nodes of the slice of u, as (n, 4) components."""
-    pair = f.split(u)
-    return from_frame(*pair.eval_components(grid.z), pair.frame)
+    """Values of f at the grid nodes of the slice of u, as (n, 4) components.
+
+    Read from the ring table T of ``_ring_table`` (module docstring), scaled
+    by 2^-k_r with 2^k_r <= M_r < 2^(k_r + 1) (``_scaled_log_terms``): on ring
+    r, with z^n aliased mod n_theta,
+
+        f(r e^(u theta)) = 2^k_r sum_m (cos(m theta) T_m + sin(m theta) u T_m).
+
+    So every value is one gemm (``np.matmul``) of the rows (T_m, u T_m) of
+    each component and ring against the angular columns (cos m theta_j,
+    sin m theta_j), gathered from the grid's angles at index m j mod n_theta.
+    The scale 2^k_r is a power of two: multiplying back is exact, and a
+    value past the float range is +-inf, never 0 * inf = NaN, with no warning.
+    The result is the transpose of a (4, n) array of component rows.
+    """
+    check_unit_imaginary(u)
+    logs, k = _scaled_log_terms(f, grid)
+    table = _ring_table(f, grid, logs, np.zeros(grid.n_r))
+    width = table.shape[-1]
+    left = hamilton(u.as_array(), np.eye(4)).T  # column d is u e_d
+    rows = np.concatenate([table, np.matmul(left, table.reshape(4, -1)).reshape(table.shape)],
+                          axis=-1).reshape(-1, 2 * width)
+    base = _angle_base(grid.n_theta)
+    m = np.arange(width)[:, None]
+    out = np.empty((4, grid.n_r, grid.n_theta))
+    flat = out.reshape(len(rows), grid.n_theta)
+    step = max(1, _ANGLE_BYTES // (16 * width))
+    for j in range(0, grid.n_theta, step):
+        angles = np.arange(j, min(j + step, grid.n_theta))
+        columns = np.take(base, m * angles % grid.n_theta, axis=1).reshape(2 * width, -1)
+        np.matmul(rows, columns, out=flat[:, j: j + step])
+    with np.errstate(over="ignore"):
+        if np.all(np.abs(k) <= 1022):
+            out *= np.exp2(k)[:, None]
+        else:
+            np.ldexp(out, k.astype(int)[:, None], out=out)
+    return out.reshape(4, -1).T

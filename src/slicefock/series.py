@@ -15,10 +15,12 @@ z = x + iy, every power splits as (x + yu)^n = Re(z^n) + u Im(z^n), so
 
     f(x + yu) = F1(z) + u F2(z),   F1 + i F2 = sum_n z^n a_n,
 
-and ``eval_many`` takes F1 and F2 at every point from one complex Horner
-sweep (``_horner``) of the four real coefficient components, then forms
-u F2 with one Hamilton product.  The scalar ``eval`` keeps the quaternion
-Horner loop, as an independent check.
+and ``eval_many`` takes F1 and F2 at a block of points at a time from a
+table of the powers z^n (``_powers``) and one real gemm (``np.matmul``)
+against the coefficient rows, then forms u F2 with one Hamilton product.
+``SplitPair.eval_components`` keeps the complex Horner sweep (``_horner``)
+of a split pair, and the scalar ``eval`` keeps the quaternion Horner loop,
+as an independent check.
 """
 
 from __future__ import annotations
@@ -85,6 +87,51 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     for c in coeffs[-2::-1]:
         acc *= z
         acc += c[rows]
+    return acc
+
+
+# Bytes of the buffers ``SliceSeries.eval_many`` reuses for each block of
+# points: per point, h + 1 complex powers and the 8 complex rows of the two
+# halves.  1 MB is 2520 points at degree 32 and 6553 at degree 1, and stays
+# in a core's L2 cache while the gemm reads it.
+_BLOCK_BYTES = 1 << 20
+
+
+def _powers(z: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """table[n] = z^n for n = 0..len(table) - 1 (at least 2 rows), one complex
+    multiply per row; returns the table."""
+    table[0] = 1.0
+    table[1] = z
+    for n in range(2, len(table)):
+        np.multiply(table[n - 1], z, out=table[n])
+    return table
+
+
+def _halves(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficient rows (P0 | P1), shape (8, h), with sum_n z^n a_n =
+    P0(z) + z^h P1(z): a_0..a_(h-1) and the rest up to the last nonzero
+    coefficient (at least a_1), h half of them, rounded up."""
+    nonzero = np.flatnonzero(np.any(coeffs, axis=1))
+    top = max(1, nonzero[-1] if len(nonzero) else 0) + 1
+    h = (top + 1) // 2
+    rows = np.zeros((8, h))
+    rows[:4] = coeffs[:h].T
+    rows[4:, : top - h] = coeffs[h:top].T
+    return rows
+
+
+def _eval_rows(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_n q^n a_n at (4, M) component rows, by the loop acc = q acc + a_n of
+    ``SliceSeries.eval`` (the same products, in the same order); NaN in every
+    component at a point with a NaN or infinite component."""
+    acc = np.repeat(coeffs[-1][:, None], q.shape[1], axis=1)
+    step = np.empty_like(acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in coeffs[-2::-1]:
+            _hamilton_rows(q, acc, step)
+            step += c[:, None]
+            acc, step = step, acc
+    acc[:, ~np.isfinite(q).all(axis=0)] = np.nan
     return acc
 
 
@@ -182,30 +229,59 @@ class SliceSeries:
 
             f(q) = F1(z) + I F2(z),   F1 + i F2 = sum_n z^n a_n.
 
-        One complex Horner sweep (``_horner``) of the four real coefficient
-        rows gives F1 and F2 as (4, M) rows, and one ``_hamilton_rows``
-        product gives I F2.  z and I come from the one slice-coordinate
-        rule, ``quaternions._slice_coords_rows``; at real points I is i,
-        where F2 is 0.
+        z and I come from the one slice-coordinate rule,
+        ``quaternions._slice_coords_rows``; at real points I is i, where F2
+        is 0.  The points go in blocks that fit ``_BLOCK_BYTES``, in buffers
+        allocated once per call.  In each block a power table z^0..z^h
+        (``_powers``, one complex multiply per point and row) meets the
+        coefficient rows of ``_halves`` in one real gemm (``np.matmul``),
+        which gives the complex rows P0 and P1 of F1 + i F2 = P0 + z^h P1,
+        and one ``_hamilton_rows`` product gives I F2.  h is half the number
+        of coefficients, rounded up, so the table has half the rows of a
+        table of every power.  The result is the transpose of (4, M)
+        component rows.
 
         A point with a NaN or infinite component gets NaN in every component
-        once the degree is at least 1 (0 * inf is NaN in the sweep, and
-        silently so); a constant series gives its constant everywhere, as a
-        broadcast copy with no sweep.
+        once the degree is at least 1; a constant series gives its constant
+        everywhere, as a broadcast copy with no table.  Trailing zero
+        coefficients are left out of the table, and a point whose value from
+        the table is not finite (a NaN or infinite point, or a power past
+        the float range) takes the quaternion loop of ``eval`` instead
+        (``_eval_rows``): the table never turns a finite value into NaN.
         """
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1:] != (4,):
             raise ValueError("points must form an (..., 4) component array")
         if self.degree == 0:
             return np.broadcast_to(self.coeffs[0], pts.shape).copy()
-        z, axis = _slice_coords_rows(pts.reshape(-1, 4).T)
-        out = np.empty(pts.shape)
-        rows = out.reshape(-1, 4).T
-        with np.errstate(invalid="ignore"):
-            f = _horner(self.coeffs, z)
-            _hamilton_rows(axis, f.imag, rows)
-        rows += f.real
-        return out
+        flat = pts.reshape(-1, 4)
+        halves = _halves(self.coeffs)
+        h = halves.shape[1]
+        block = max(1, _BLOCK_BYTES // (16 * (h + 9)))
+        table = np.empty((h + 1, min(block, len(flat))), dtype=complex)
+        parts = np.empty((8, table.shape[1]), dtype=complex)
+        rows = np.empty((4, len(flat)))
+        far = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(flat), block):
+                z, axis = _slice_coords_rows(flat[start: start + block].T)
+                k = len(z)
+                powers = _powers(z, table[:, :k])
+                p = parts[:, :k]
+                np.matmul(halves, powers[:h].view(float), out=p.view(float))
+                f = p[4:]
+                f *= powers[h]
+                f += p[:4]
+                out = rows[:, start: start + k]
+                _hamilton_rows(axis, f.imag, out)
+                out += f.real
+                finite = np.isfinite(out).all(axis=0)
+                if not finite.all():
+                    far.append(start + np.flatnonzero(~finite))
+        if far:
+            far = np.concatenate(far)
+            rows[:, far] = _eval_rows(self.coeffs, flat[far].T)
+        return rows.T.reshape(pts.shape)
 
     # -- star algebra --------------------------------------------------------
 

@@ -424,6 +424,31 @@ def test_eval_and_extend_many_give_nan_at_nonfinite_points(rng):
     assert np.all(np.abs(got - c.coeffs[0]) <= 1e-14)
 
 
+@pytest.mark.parametrize("size", (1e100, 1e200))
+def test_eval_many_past_the_float_range_of_the_power_table(size, rng):
+    # The power table can overflow where Horner's sums do not.  Trailing zero
+    # coefficients are cut off before the table is built, and a point whose
+    # table value is not finite takes the quaternion loop of eval: the values
+    # here are finite and agree with eval to Horner's bound, with
+    # |q| <= 2 max |q_k|, since |q|^2 itself overflows at 1e200
+    v = rng.standard_normal((40, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    points = size * v
+    points[:5, 1:] = 0.0                         # real points
+    trailing = rng.standard_normal((7, 4))
+    trailing[2:] = 0.0
+    tiny_top = rng.standard_normal((3, 4))
+    tiny_top[2] *= 1e-300
+    for f in (SliceSeries(trailing), SliceSeries(tiny_top)):
+        got = f.eval_many(points)
+        want = [f.eval(Quaternion.from_components(q)).as_array() for q in points]
+        weights = np.polynomial.polynomial.polyval(2.0 * np.abs(points).max(axis=1),
+                                                   np.linalg.norm(f.coeffs, axis=1))
+        tol = 4.0 * (f.degree + 1) * np.finfo(float).eps * weights
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want).max(axis=1) <= tol)
+
+
 # -- bit identity with the earlier (M, 4) formulas --------------------------------
 
 def horner_stack(f: SliceSeries, points) -> np.ndarray:
@@ -472,7 +497,7 @@ def with_axis_points(rng: np.random.Generator, points: np.ndarray) -> np.ndarray
     return points
 
 
-@pytest.mark.parametrize("degree", (0, 1, 10, 32))
+@pytest.mark.parametrize("degree", (0, 1, 10, 32, DEGREE_CAP))
 @pytest.mark.parametrize("m", (0, 1, 7, 20_000))
 def test_eval_and_extend_many_bit_identical_to_stack_formula(degree, m, rng):
     # extend_many is pinned bit for bit.  eval_many goes through the stem
