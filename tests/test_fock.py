@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -32,7 +33,7 @@ from slicefock import (
     sample_on_grid,
     slice_sample,
 )
-from slicefock import fock, series
+from slicefock import _workspace, fock, series
 from slicefock.fock import slice_abs_sq, slice_norms, stem_norms
 from slicefock.quaternions import from_frame, random_unit_imaginary, slice_frame, to_frame
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
@@ -318,8 +319,9 @@ def test_every_axis_gets_the_same_bits_whatever_the_block_size(domain, rng, monk
 _FILL_HASH_SCRIPT = """
 import hashlib
 import numpy as np
-from slicefock import FockParams, Quaternion, build_grid, fock_norm_slice, random_series
-from slicefock.fock import slice_abs_sq, stem_norms
+from slicefock import (FockParams, Quaternion, build_grid, fock_norm_slice, fock_norm_sup,
+                       random_series)
+from slicefock.fock import _sup_norms, slice_abs_sq, stem_norms
 from slicefock.quadrature import slice_sample
 digest = hashlib.sha256()
 axes = slice_sample(64)
@@ -334,6 +336,11 @@ for domain in ("disk", "plane"):
             digest.update(norms.tobytes())
         for u in axes[::7]:
             digest.update(np.float64(fock_norm_slice(f, Quaternion.from_components(u), params)))
+        # the moment bound behind the sups adds gemms of its own
+        for pair, (value, best) in _sup_norms(f, axes, grid, pairs).items():
+            digest.update(np.array([value, best]).tobytes())
+        sup = fock_norm_sup(f, params, grid)
+        digest.update(np.array([sup.value] + list(sup.axis.as_array())).tobytes())
 print(digest.hexdigest())
 """
 
@@ -520,6 +527,173 @@ def test_stem_norms_single_axis_is_its_row(p, rng):
         assert stem_norms(f, u, grid, [pair])[pair][0] == full[k]
     comps = np.array(axes)
     assert np.array_equal(stem_norms(f, comps, grid, [pair])[pair], full)
+
+
+# -- certified slice supremum ---------------------------------------------------------
+
+_SUP_PS = (4.0 / 3.0, 1.5, 2.5, 3.0, 4.0, 5.0)  # p = 5 has no moment bound: every row is filled
+
+
+def _assert_sup_is_the_full_sweep(f, axes, grid, pairs):
+    sups = fock._sup_norms(f, axes, grid, pairs)
+    norms = stem_norms(f, axes, grid, pairs)
+    for pair in pairs:
+        value, best = sups[pair]
+        assert best == int(np.argmax(norms[pair])), pair
+        assert np.float64(value).tobytes() == np.max(norms[pair]).tobytes(), pair
+    return sups
+
+
+def _sup_cases(rng, grid, axes):
+    """Random series of degrees 0-32, a constant, a real-coefficient series, the
+    zero series, and (q - r u) g with r u a node of the slice of a sampled axis u."""
+    cases = [make_series(rng, degree) for degree in range(33)]
+    real = np.zeros((9, 4))
+    real[:, 0] = rng.standard_normal(9)
+    cases += [SliceSeries(rng.standard_normal((1, 4))), SliceSeries(real),
+              SliceSeries(np.zeros((3, 4)))]
+    for k in (0, 5, len(axes) - 1):
+        u = Quaternion.from_components(axes[k])
+        r = float(grid.r[int(rng.integers(grid.n_r))])
+        cases.append(SliceSeries.from_quaternions([u * (-r), ONE])
+                     .star(make_series(rng, int(rng.integers(1, 8)))))
+    return cases
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_sup_norms_are_the_full_sweep_bit_for_bit(domain, rng):
+    params = FockParams(domain=domain, n_r=16, n_theta=64)
+    grid = build_grid(params)
+    axes = slice_sample(params.n_slices)
+    for f in _sup_cases(rng, grid, axes):
+        _assert_sup_is_the_full_sweep(f, axes, grid, [(p, 1.0) for p in _SUP_PS])
+        for p in _SUP_PS:
+            _assert_sup_is_the_full_sweep(f, axes, grid, [(p, 0.5), (2.0, 2.0)])
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_fock_norm_sup_is_the_full_sweep_on_the_default_grid(domain, rng):
+    for p in _SUP_PS:
+        params = FockParams(domain=domain, p=p)
+        grid = build_grid(params)
+        axes = slice_sample(params.n_slices)
+        for degree in (0, 1, 6, 19, 32):
+            f = make_series(rng, degree)
+            (value, best), = _assert_sup_is_the_full_sweep(
+                f, axes, grid, [(p, params.alpha)]).values()
+            sup = fock_norm_sup(f, params, grid)
+            assert np.float64(sup.value).tobytes() == np.float64(value).tobytes()
+            assert sup.axis == Quaternion.from_components(axes[best])
+
+
+def test_sup_norms_of_slice_independent_series_fill_one_row_and_pick_axis_0(rng, monkeypatch):
+    grid = build_grid(FockParams(domain="plane", n_r=16, n_theta=64))
+    axes = slice_sample(64)
+    filled = []
+    fill = fock._fill_rings
+    monkeypatch.setattr(fock, "_fill_rings", lambda rings, basis, lifted, index, grid:
+                        filled.append(len(index)) or fill(rings, basis, lifted, index, grid))
+    real = np.zeros((7, 4))
+    real[:, 0] = rng.standard_normal(7)
+    zero = SliceSeries(np.zeros((3, 4)))
+    for f in (SliceSeries(rng.standard_normal((1, 4))), SliceSeries(real), zero):
+        filled.clear()
+        sups = fock._sup_norms(f, axes, grid, [(3.0, 1.0), (1.5, 1.0)])
+        assert filled == [1]
+        assert all(best == 0 for _, best in sups.values())
+        _assert_sup_is_the_full_sweep(f, axes, grid, [(3.0, 1.0), (1.5, 1.0)])
+
+
+def test_sup_norms_at_the_ends_of_the_float_range_are_the_full_sweep(rng):
+    # past the float range every slice norm is inf, and deep in the subnormals
+    # distinct norms round to one value: they tie, and the first axis must win
+    # as in the full sweep, not the first axis that was filled
+    cases = [make_series(rng, 32) for _ in range(4)]
+    with np.errstate(over="ignore", under="ignore"):
+        for domain, scale in (("plane", 1e290), ("plane", 1e292), ("plane", 1e300),
+                              ("disk", 1e-312), ("disk", 1e-322)):
+            grid = build_grid(FockParams(domain=domain))
+            for f in cases:
+                _assert_sup_is_the_full_sweep(SliceSeries(f.coeffs * scale), slice_sample(64),
+                                              grid, [(p, 1.0) for p in (4.0 / 3.0, 3.0)])
+
+
+def test_moment_bound_covers_every_axis(rng):
+    params = FockParams(domain="plane")
+    grid = build_grid(params)
+    axes = slice_sample(params.n_slices)
+    lifted = fock._axis_rows(axes)
+    pairs = [(p, a) for p in _SUP_PS[:-1] for a in (0.5, 1.0)]
+    for f in _sup_cases(rng, grid, axes)[::3]:
+        table, log_m, rings = fock._stem_rings(f, grid, fock._exponents(pairs), len(lifted))
+        basis = fock._stem_terms(table, grid)
+        fock._fill_rings(rings, basis, lifted, np.arange(len(lifted)), grid)
+        weights = {pair: fock._ring_weights(grid, pair, log_m) for pair in pairs}
+        bounds = fock._moment_bounds(basis, lifted, grid, weights)
+        for pair, (w, _) in weights.items():
+            exact = np.sum(rings[pair[0]] * w, axis=-1)
+            assert np.all(bounds[pair] * (1.0 + fock._SUP_MARGIN) >= exact), pair
+
+
+def test_sup_norms_fill_few_rows_on_the_plane_at_p3(rng, monkeypatch):
+    params = FockParams(p=3.0, domain="plane")
+    grid = build_grid(params)
+    filled = []
+    fill = fock._fill_rings
+    monkeypatch.setattr(fock, "_fill_rings", lambda rings, basis, lifted, index, grid:
+                        filled.append(len(index)) or fill(rings, basis, lifted, index, grid))
+    counts = []
+    for degree in range(33):
+        filled.clear()
+        fock_norm_sup(make_series(rng, degree), params, grid)
+        counts.append(sum(filled))
+    assert np.median(counts) <= 8 and max(counts) < 67
+
+
+def test_sup_norms_of_a_nan_ring_table_are_nan(rng, monkeypatch):
+    monkeypatch.setattr(fock, "_ring_table",
+                        lambda f, grid, logs, shift: np.full(logs.shape, math.nan))
+    grid = build_grid(FockParams(n_r=16, n_theta=64))
+    pairs = [(p, 1.0) for p in _SUP_PS] + [(2.0, 1.0)]
+    sups = fock._sup_norms(make_series(rng, 6), slice_sample(8), grid, pairs)
+    assert all(math.isnan(value) and best == 0 for value, best in sups.values())
+    sup = fock_norm_sup(make_series(rng, 6), FockParams(p=3.0, n_r=16, n_theta=64))
+    assert math.isnan(sup.value)
+
+
+def test_scratch_buffers_are_kept_per_name_and_thread():
+    a = _workspace.scratch("test-a", (3, 4))
+    assert a.shape == (3, 4) and np.shares_memory(a, _workspace.scratch("test-a", (2, 5)))
+    grown = _workspace.scratch("test-a", (100,))
+    assert not np.shares_memory(a, grown)
+    assert np.shares_memory(grown, _workspace.scratch("test-a", (10,)))
+    assert _workspace.scratch("test-a", (4,), complex).dtype == complex
+    # a buffer past MAX_BYTES is not kept, and another thread has its own buffers
+    big = _workspace.scratch("test-b", (_workspace.MAX_BYTES // 8 + 1,))
+    assert not np.shares_memory(big, _workspace.scratch("test-b", (1,)))
+    mine = _workspace.scratch("test-a", (10,))
+    theirs = []
+    worker = threading.Thread(target=lambda: theirs.append(_workspace.scratch("test-a", (10,))))
+    worker.start()
+    worker.join()
+    assert not np.shares_memory(mine, theirs[0])
+
+
+def test_steady_state_sups_and_evaluations_allocate_no_new_buffers(rng):
+    params = FockParams(p=3.0, domain="plane")
+    points = rng.standard_normal((3000, 4))
+    cases = [make_series(rng, degree) for degree in (1, 5, 32)]
+
+    def run():
+        for f in cases:
+            fock_norm_sup(f, params)
+            fock_norm_sup(f, replace(params, p=4.0 / 3.0))
+            f.eval_many(points)
+        return {name: id(buf) for name, buf in vars(_workspace._LOCAL).items()}
+
+    first = run()
+    assert {"basis", "fill", "power", "moments", "eval_many"} <= set(first)
+    assert run() == first
 
 
 # -- inner product ------------------------------------------------------------------

@@ -291,6 +291,21 @@ def test_slice_norm_checks_fail_on_nan_stem_terms(check_id, monkeypatch):
     assert math.isnan(outcome.lhs) and not outcome.passed
 
 
+
+def test_plane_sups_are_the_largest_stem_norms():
+    # growth and embedding keep only the sups, from the pruned sweep of fock._sup_norms
+    config = RunConfig(n_r=16, n_theta=64, n_slices=8)
+    grid = fock.build_grid(replace(config, domain="plane"))
+    axes = fock.slice_sample(config.n_slices)
+    rng = np.random.default_rng(7)
+    for ps in (checks._GROWTH_PS, checks._EMBED_PS):
+        pairs = [(p, config.alpha) for p in ps]
+        for degree in (0, 3, 10):
+            f = random_series(rng, degree)
+            norms = fock.stem_norms(f, axes, grid, pairs)
+            want = [np.max(norms[pair]).tobytes() for pair in pairs]
+            assert [np.float64(v).tobytes() for v in checks._plane_norms(f, config, ps)] == want
+
 @pytest.mark.parametrize("check_id", ["hermiticity", "orthogonality"])
 def test_inner_product_checks_fail_on_nan(check_id, monkeypatch):
     nan = Quaternion(math.nan, math.nan, math.nan, math.nan)
@@ -304,13 +319,13 @@ def test_embedding_sees_a_p4_norm_scaled_by_one_and_a_half(monkeypatch):
     # 0.125, above every ratio of the paper's conjugate pairs, so this fault passed unseen
     config = RunConfig(n_r=16, n_theta=64, n_slices=8)
     clean = run_check("embedding", config)
-    stem_norms = checks.stem_norms
+    sup_norms = checks._sup_norms
 
     def scaled(f, axes, grid, pairs):
-        norms = stem_norms(f, axes, grid, pairs)
-        return {pair: 1.5 * v if pair[0] == 4.0 else v for pair, v in norms.items()}
+        sups = sup_norms(f, axes, grid, pairs)
+        return {pair: (1.5 * v if pair[0] == 4.0 else v, k) for pair, (v, k) in sups.items()}
 
-    monkeypatch.setattr(checks, "stem_norms", scaled)
+    monkeypatch.setattr(checks, "_sup_norms", scaled)
     assert run_check("embedding", config).lhs > clean.lhs
 
 
