@@ -1,11 +1,11 @@
 """Scratch buffers that each thread keeps and reuses across calls.
 
-The slice sweeps of ``fock`` and the point blocks of
-``SliceSeries.eval_many`` work in temporaries of about 1 MB.  Allocated
+The slice sweeps of ``fock`` (the basis, fill, power and bound buffers of
+``stem_norms`` and ``_sup_norms``) work in temporaries of about 1 MB.  Allocated
 afresh on every call, such a buffer is handed back to the system when it
 is freed (the C allocator unmaps it, or trims the top of its heap), so the
-next call faults its pages in again: 600 to 900 minor page faults per
-call of the library round trip, and a count that depends on what the
+next call faults its pages in again (about 380 minor page faults per
+p = 3 plane ``fock_norm_sup`` call), a count that depends on what the
 caller happens to keep alive.  A buffer kept here faults once per thread.
 """
 
@@ -24,16 +24,16 @@ MAX_BYTES = 1 << 23
 _LOCAL = threading.local()
 
 
-def scratch(name: str, shape, dtype=float) -> np.ndarray:
-    """An uninitialized array of ``shape`` and ``dtype``, carved from the buffer
-    that the calling thread keeps under ``name``.  The buffer grows to the
-    largest request of at most ``MAX_BYTES``, and every later request reuses
-    it.  A name serves one array at a time: the next request overwrites it.
+def scratch(name: str, shape) -> np.ndarray:
+    """An uninitialized float array of ``shape``, carved from the buffer that
+    the calling thread keeps under ``name``.  The buffer grows to the largest
+    request of at most ``MAX_BYTES``, and every later request reuses it.  A
+    name serves one array at a time: the next request overwrites it.
     """
     size = math.prod(shape)
     buf = getattr(_LOCAL, name, None)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = np.empty(size, dtype)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
         if buf.nbytes <= MAX_BYTES:
             setattr(_LOCAL, name, buf)
     return buf[:size].reshape(shape)

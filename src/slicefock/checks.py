@@ -262,8 +262,10 @@ def _plane_norms(f: SliceSeries, config, ps) -> list:
     """f's sup norms on the truncated plane over the sampled slices, one per exponent,
     from ``fock._sup_norms``.  The rows keep only the sups: the sweep's buffers are
     reused across calls, so no norm array has to stay alive to keep the C allocator
-    from trimming the heap after each draw.  A cold seed-3 verify pass faults
-    2.8k-3.3k pages, against 2.4k-7.5k when these rows held every slice norm."""
+    from trimming the heap after each draw.  Over eight cold seed-3 verify passes a
+    median of 3.1k pages fault (2.8k-3.6k), against 3.3k (3.3k-10.9k) when these rows
+    held every slice norm; that takes ``fock._moments`` building no stack of its
+    samples, without which the pass faults about 115k."""
     pairs = [(p, config.alpha) for p in ps]
     grid = build_grid(replace(config, domain="plane"))
     sups = _sup_norms(f, slice_sample(config.n_slices), grid, pairs)

@@ -31,7 +31,6 @@ from typing import Iterable, TextIO, Union
 
 import numpy as np
 
-from ._workspace import scratch
 from .quaternions import (
     ONE,
     Quaternion,
@@ -233,17 +232,14 @@ class SliceSeries:
         z and I come from the one slice-coordinate rule,
         ``quaternions._slice_coords_rows``; at real points I is i, where F2
         is 0.  The points go in blocks that fit ``_BLOCK_BYTES``, in buffers
-        that the thread keeps across calls (``_workspace.scratch``).  In each
-        block a power table z^0..z^h (``_powers``, one complex multiply per
-        point and row) meets the coefficient rows of ``_halves`` in one real
-        gemm (``np.matmul``), which gives the complex rows P0 and P1 of
-        F1 + i F2 = P0 + z^h P1, and one ``_hamilton_rows`` product gives
-        I F2.  h is half the number of coefficients, rounded up, so the table
-        has half the rows of a table of every power.  At h = 1 (degree 1)
-        the gemm has an inner dimension of 1, where numpy's matmul is about
-        9 times slower than a broadcast multiply: that case multiplies and
-        adds +0, which gives the gemm's bits.  The result is the transpose of
-        (4, M) component rows.
+        allocated once per call.  In each block a power table z^0..z^h
+        (``_powers``, one complex multiply per point and row) meets the
+        coefficient rows of ``_halves`` in one real gemm (``np.matmul``),
+        which gives the complex rows P0 and P1 of F1 + i F2 = P0 + z^h P1,
+        and one ``_hamilton_rows`` product gives I F2.  h is half the number
+        of coefficients, rounded up, so the table has half the rows of a
+        table of every power.  The result is the transpose of (4, M)
+        component rows.
 
         A point with a NaN or infinite component gets NaN in every component
         once the degree is at least 1; a constant series gives its constant
@@ -262,10 +258,8 @@ class SliceSeries:
         halves = _halves(self.coeffs)
         h = halves.shape[1]
         block = max(1, _BLOCK_BYTES // (16 * (h + 9)))
-        width = min(block, len(flat))
-        buf = scratch("eval_many", ((h + 9) * width,), complex)
-        table = buf[: (h + 1) * width].reshape(h + 1, width)
-        parts = buf[(h + 1) * width:].reshape(8, width)
+        table = np.empty((h + 1, min(block, len(flat))), dtype=complex)
+        parts = np.empty((8, table.shape[1]), dtype=complex)
         rows = np.empty((4, len(flat)))
         far = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -274,11 +268,7 @@ class SliceSeries:
                 k = len(z)
                 powers = _powers(z, table[:, :k])
                 p = parts[:, :k]
-                if h == 1:  # gemm's bits, +0 for -0 included, without its slow K = 1 path
-                    np.multiply(halves, powers[0].view(float), out=p.view(float))
-                    p += 0.0
-                else:
-                    np.matmul(halves, powers[:h].view(float), out=p.view(float))
+                np.matmul(halves, powers[:h].view(float), out=p.view(float))
                 f = p[4:]
                 f *= powers[h]
                 f += p[:4]

@@ -21,8 +21,7 @@ from slicefock import (
     pointwise_star_residual,
     write_series,
 )
-from slicefock import series
-from slicefock.quaternions import _hamilton_rows, _slice_coords_rows, random_unit_imaginary
+from slicefock.quaternions import random_unit_imaginary
 
 from conftest import (
     assert_bit_identical,
@@ -587,36 +586,6 @@ def test_eval_many_of_a_constant_is_the_broadcast_constant(rng):
     for bad in (np.zeros((5, 3)), np.zeros(())):
         with pytest.raises(ValueError):
             f.eval_many(bad)
-
-
-def gemm_eval_many(f: SliceSeries, points) -> np.ndarray:
-    """eval_many in one block with the gemm of the coefficient halves at every h,
-    the reference of the broadcast multiply that eval_many uses at h = 1."""
-    flat = np.asarray(points, dtype=float).reshape(-1, 4)
-    z, axis = _slice_coords_rows(flat.T)
-    halves = series._halves(f.coeffs)
-    h = halves.shape[1]
-    powers = series._powers(z, np.empty((h + 1, len(z)), dtype=complex))
-    parts = np.empty((8, len(z)), dtype=complex)
-    np.matmul(halves, powers[:h].view(float), out=parts.view(float))
-    fz = parts[4:] * powers[h] + parts[:4]
-    rows = np.empty((4, len(z)))
-    _hamilton_rows(axis, fz.imag, rows)
-    rows += fz.real
-    return rows.T.reshape(np.shape(points))
-
-
-@pytest.mark.parametrize("m", (1, 7, 20_000))
-def test_eval_many_at_degree_one_is_the_gemm_form_bit_for_bit(m, rng):
-    # at h = 1 eval_many multiplies where the gemm has an inner dimension of 1;
-    # the gemm adds each product to +0, so -0 products must come out as +0 too
-    points = with_axis_points(rng, with_signed_zeros(rng, (m, 4)))
-    for coeffs in (with_signed_zeros(rng, (2, 4)), -np.abs(rng.standard_normal((2, 4))),
-                   np.array([[0.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 2.0]])):
-        f = SliceSeries(coeffs)
-        assert series._halves(f.coeffs).shape[1] == 1
-        for x in layouts(points).values():
-            assert_bit_identical(f.eval_many(x), gemm_eval_many(f, x))
 
 
 # -- dilation ---------------------------------------------------------------------
