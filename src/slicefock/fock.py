@@ -54,25 +54,27 @@ diagonal and the moments sum over lambda_r r^n = exp(log lambda_r + n log r)
     of each ring of the frame samples (``_moments``); the projection is
     c_n M_n, the inner product sum_n conj(a_n) M_n(g) for f = sum z^n a_n.
 
-Every slice norm reads f from one ring table (``_ring_table``), T[c,r,m] =
-sum over n = m mod n_theta of a_{n,c} r^n e^(s_r), each term formed from the
-log terms of ``_log_terms`` as sign(a) exp(log|a_{n,c}| + n log r + s_r).
-``stem_norms`` builds one table per call, with s_r = -log M_r and
-M_r = max over n, c of |a_{n,c}| r^n (``slice_abs_sq`` takes s_r = 0).  As
-z^n aliases mod n_theta on ring r, row r holds the angular Fourier
-coefficients of F / M_r.
+Every slice norm and every grid sample reads f from one ring table
+(``_ring_table``), T[c,r,m] = 2^-k_r sum over n = m mod n_theta of
+a_{n,c} r^n, with k_r = ceil(log2 M_r) and M_r = max over n, c of
+|a_{n,c}| r^n (k_r = 0 where f = 0 or M_r is not finite).  Its log terms
+split r as 2^e m, so the exponent n e - k_r is an exact integer and a term
+carries the rounding of n log2 m alone.  Row r holds the angular Fourier
+coefficients of 2^-k_r F (z^n aliases mod n_theta on ring r), and every
+reader puts 2^k_r back exactly (``_scale_rings`` for values on the grid).
 (|f|^2 e^(-alpha r^2))^(p/2) folds the Gaussian into the ring weight
 lambda_r(alpha p / 2), which carries the normalization alpha p / (2 pi), and
-every exponent reduces its ring sums of |f / M_r|^p the same way: ring r
-weighs lambda_r M_r^p in logs (``_weighted_norms``), and the ring sums serve
-every alpha.
+every exponent reduces its ring sums of |2^-k_r f|^p the same way: ring r
+weighs lambda_r(alpha p / 2) 2^(p (k_r - K)) in logs, K the largest k_r
+(``_ring_weights``), the p-th root is multiplied by 2^K (``_root``), and the
+ring sums serve every alpha.
 
-  * p = 2: by Parseval sum_theta |f / M_r|^2 = n_theta sum_{c,m} T[c,r,m]^2,
+  * p = 2: by Parseval sum_theta |2^-k_r f|^2 = n_theta sum_{c,m} T[c,r,m]^2,
     and sum_theta B = 0 exactly, since B pairs F1 with F2 antisymmetrically
     and T is real.  So every p = 2 slice norm is the same number, computed
     from the coefficients without a node value, and ``fock_norm_sup`` at
     p = 2 reports the first sample axis.
-  * p != 2: F / M_r at the nodes is the conjugate of one ``np.fft.rfft`` of
+  * p != 2: 2^-k_r F at the nodes is the conjugate of one ``np.fft.rfft`` of
     the table (``_stem_terms``);
   * a block of rows A + 2 u.B is one BLAS product (``np.matmul``) of the
     axes [u | 1] against the rows (2B, A), clamped at 0 (``_slice_rows``);
@@ -92,7 +94,7 @@ Inequalities, 2.9).  Each ring is cut into sectors of k consecutive angles
 (``_SECTORS`` of them, 8 on the default grid).  The sums m = sum b and
 G = sum b b^T of a sector's basis rows b = (2B, A) give, on the slice of
 every axis u at once, sum s = [u|1].m and sum s^2 = [u|1]^T G [u|1] for
-s = |f / M_r|^2, and Hoelder's inequality bounds the sector's sum of s^q,
+s = |2^-k_r f|^2, and Hoelder's inequality bounds the sector's sum of s^q,
 q = p/2:
 
     sum s^q <= k^(1-q) (sum s)^q                    for q <= 1,
@@ -114,14 +116,11 @@ every slice and fills one.  p > 4, a non-finite bound, a NaN value, and a
 best norm past the float range or below the normal range (where norms the
 margin separates can round to a tie) fill every slice.
 
-Grid samples (``sample_on_grid``) read a ring table too.  Its shift is
--k_r log 2, with 2^k_r the power of two at or below M_r, and its log terms
-split each r as 2^e m (``_scaled_log_terms``), so that they carry the
-rounding of n log2 m, not of n log r.  The values of a slice are one gemm
-of the rows (T_m, u T_m) against cos m theta_j and sin m theta_j, gathered
-from one cached base of the grid's angles at index m j mod n_theta, and
-each ring is multiplied back by 2^k_r exactly: past the float range a
-value is +-inf, never NaN.  The projection splits its samples, and the
+The values of a slice on the grid (``sample_on_grid``) are one gemm of the
+rows (T_m, u T_m) against cos m theta_j and sin m theta_j, gathered from
+the grid's angle table (``quadrature.angle_table``) at index m j mod
+n_theta, and each ring is multiplied by 2^k_r: past the float range a value
+is +-inf, never NaN.  The projection splits its samples, and the
 inner product splits g, as F + G v in the frame (1, u, v, uv) of
 ``quaternions.slice_frame`` through ``to_frame``/``from_frame``.  The
 inner product keeps its g samples on that split and the complex Horner
@@ -144,7 +143,6 @@ thread count.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -152,7 +150,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._workspace import scratch
-from .quadrature import PolarGrid, build_polar_grid, slice_sample
+from .quadrature import PolarGrid, angle_table, build_polar_grid, slice_sample
 from .quaternions import (ONE, Quaternion, check_unit_imaginary, from_frame, hamilton, slice_frame,
                           to_frame)
 from .series import SliceSeries
@@ -256,30 +254,44 @@ def _params_grid(params: FockParams, grid: Optional[PolarGrid]) -> PolarGrid:
     return build_grid(params)
 
 
-def _log_terms(f: SliceSeries, grid: PolarGrid) -> np.ndarray:
-    """log |a_{n,c}| r^n, shape (4, n_r, degree + 1); -inf at a zero coefficient."""
+def _ring_table(f: SliceSeries, grid: PolarGrid):
+    """(T, k): T[c,r,m] = 2^-k_r sum over n = m mod n_theta of a_{n,c} r^n, shape
+    (4, n_r, min(degree + 1, n_theta)), and the ring exponents k_r, an int array
+    (module docstring).  With r = 2^e m, a term is
+    sign(a) 2^(((n e - k_r) + n log2 m) + log2 |a|)."""
+    e = np.round(np.log2(grid.r))
+    n = np.arange(f.degree + 1)
+    whole = e[:, None] * n
+    power = np.log2(np.ldexp(grid.r, -e.astype(int)))[:, None] * n
     with np.errstate(divide="ignore"):
-        log_a = np.log(np.abs(f.coeffs.T))
-    return log_a[:, None, :] + np.log(grid.r)[:, None] * np.arange(f.degree + 1)
-
-
-def _ring_table(f: SliceSeries, grid: PolarGrid, logs: np.ndarray,
-                shift: np.ndarray) -> np.ndarray:
-    """T[c,r,m] = sum over n = m mod n_theta of a_{n,c} r^n e^(shift_r), shape
-    (4, n_r, min(degree + 1, n_theta)), each term formed from the log terms
-    ``logs`` of ``_log_terms`` (module docstring)."""
-    terms = np.sign(f.coeffs.T)[:, None, :] * np.exp(logs + shift[:, None])
+        log2_a = np.log2(np.abs(f.coeffs.T))
+    top = np.max((whole + power) + np.max(log2_a, axis=0), axis=1)
+    k = np.where(np.isfinite(top), np.ceil(top), 0.0).astype(int)
+    terms = np.sign(f.coeffs.T)[:, None, :] * np.exp2(((whole - k[:, None]) + power)
+                                                      + log2_a[:, None, :])
     bins = -(-terms.shape[-1] // grid.n_theta)
     if bins > 1:
         terms = np.pad(terms, ((0, 0), (0, 0), (0, bins * grid.n_theta - terms.shape[-1])))
         terms = np.sum(terms.reshape(4, grid.n_r, bins, grid.n_theta), axis=2)
-    return terms
+    return terms, k
+
+
+def _scale_rings(values: np.ndarray, k: np.ndarray) -> None:
+    """Multiply the values of ring r by 2^k_r in place, for ``values`` of shape
+    (..., n_r * n_theta) with the nodes ring by ring: exact, and past the float
+    range +-inf, never 0 * inf = NaN, with no warning."""
+    n_theta = values.shape[-1] // len(k)
+    with np.errstate(over="ignore"):
+        if np.all(np.abs(k) <= 1022):
+            values *= np.repeat(np.exp2(k), n_theta)
+        else:
+            np.ldexp(values, np.repeat(k, n_theta), out=values)
 
 
 def _stem_terms(table: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Rows (2B1, 2B2, 2B3, A), shape (4, n), with e^(2 s_r) |f|^2 = A + 2 u.B at
-    the nodes of every slice u, for the ring table T of shift s_r.  e^(s_r) F is
-    the conjugate of the rfft of T; T is real, so A is even in theta and B odd,
+    """Rows (2B1, 2B2, 2B3, A), shape (4, n), with 4^-k_r |f|^2 = A + 2 u.B at
+    the nodes of every slice u, for the ring table T of ``_ring_table``.  2^-k_r F
+    is the conjugate of the rfft of T; T is real, so A is even in theta and B odd,
     and both are formed on the rfft's half of the angles, then mirrored.  The
     rows live in the thread's scratch storage (``_workspace.scratch``), so they
     hold until the next call."""
@@ -339,16 +351,19 @@ def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
 
     ``u`` is one unit imaginary (result shape (n,)) or an (m, 4) array of
     them (result shape (m, n), one row per axis).  Every row comes from the
-    same unscaled stem-function fill of f: |f|^2 = A + 2 u.B (module
+    same stem-function fill of f: 4^-k_r |f|^2 = A + 2 u.B (module
     docstring), written into the result a block of rows at a time, so that
     the clamp of ``_slice_rows`` reads rows still in cache (faster than one
-    product and one clamp over the whole stack).
+    product and one clamp over the whole stack), and then multiplied by
+    4^k_r ring by ring (``_scale_rings``).
     """
-    basis = _stem_terms(_ring_table(f, grid, _log_terms(f, grid), np.zeros(grid.n_r)), grid)
+    table, k = _ring_table(f, grid)
+    basis = _stem_terms(table, grid)
     lifted = _axis_rows(u)
     rows = np.empty((len(lifted), grid.size))
     for i in range(0, len(lifted), _BLOCK_ROWS):
         _slice_rows(basis, lifted[i: i + _BLOCK_ROWS], rows[i:])
+    _scale_rings(rows, 2 * k)
     return rows[0] if isinstance(u, Quaternion) else rows
 
 
@@ -413,25 +428,30 @@ def _fill_rings(rings: dict, basis: np.ndarray, lifted: np.ndarray, index: np.nd
         _ring_rows(rings, block, _slice_rows(basis, lifted[block], fill), grid)
 
 
-def _ring_weights(grid: PolarGrid, pair, log_m):
-    """(e^(l_r - t), t): ring r weighs lambda_r(alpha p / 2) M_r^p = e^(l_r),
-    log M_r = ``log_m``, and t is the largest l_r."""
+def _ring_weights(grid: PolarGrid, pair, k):
+    """(e^(l_r - t), t, K): ring r weighs lambda_r(alpha p / 2) 2^(p (k_r - K)) = e^(l_r),
+    with k_r the ring exponents of ``_ring_table``, K the largest and t the largest l_r."""
     p, alpha = pair
-    logs = grid.log_ring_weights(0.5 * alpha * p) + p * log_m
+    big = int(np.max(k))
+    logs = grid.log_ring_weights(0.5 * alpha * p) + p * (k - big) * math.log(2.0)
     top = np.max(logs)
-    return np.exp(logs - top), top
+    return np.exp(logs - top), top, big
 
 
-def _weighted_norms(rings: dict, grid: PolarGrid, pairs, log_m) -> dict:
-    """Norms from the ring sums of |f / M_r|^p: with the weights of
-    ``_ring_weights`` the norm is (sum_r ring_r e^(l_r - t))^(1/p) e^(t/p), a
+def _root(total, p: float, weights):
+    """total^(1/p) e^(t/p) 2^K: the norm of a sum weighed by ``_ring_weights``."""
+    _, top, big = weights
+    return np.ldexp(total ** (1.0 / p) * np.exp(top / p), big)
+
+
+def _weighted_norms(rings: dict, grid: PolarGrid, pairs, k) -> dict:
+    """Norms from the ring sums of |2^-k_r f|^p: with the weights (w_r, t, K) of
+    ``_ring_weights`` the norm is (sum_r ring_r w_r)^(1/p) e^(t/p) 2^K, a
     log-sum-exp over rings."""
     out = {}
     for pair in pairs:
-        p = pair[0]
-        weights, top = _ring_weights(grid, pair, log_m)
-        integral = np.sum(rings[p] * weights, axis=-1)
-        out[pair] = integral ** (1.0 / p) * np.exp(top / p)
+        weights = _ring_weights(grid, pair, k)
+        out[pair] = _root(np.sum(rings[pair[0]] * weights[0], axis=-1), pair[0], weights)
     return out
 
 
@@ -454,23 +474,20 @@ def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
     for i in range(0, len(flat), _BLOCK_ROWS):
         _ring_rows(rings, slice(i, i + _BLOCK_ROWS), flat[i: i + _BLOCK_ROWS], grid)
     rings = {p: r.reshape(lead + (grid.n_r,)) for p, r in rings.items()}
-    return _weighted_norms(rings, grid, pairs, 0.0)
+    return _weighted_norms(rings, grid, pairs, np.zeros(grid.n_r, dtype=int))
 
 
 def _stem_rings(f: SliceSeries, grid: PolarGrid, ps, n_axes: int):
-    """(table, log M_r, rings) for the sweeps of ``stem_norms`` and ``_sup_norms``:
-    the ring table of f / M_r, with log M_r = 0 where f = 0, and the ring sums
+    """(table, k, rings) for the sweeps of ``stem_norms`` and ``_sup_norms``: the
+    ring table of f and its ring exponents (``_ring_table``), and the ring sums
     {p: (n_axes, n_r)}, which at p = 2 hold the Parseval sums of every slice
     and at other p zeros for the sweep to fill."""
-    logs = _log_terms(f, grid)
-    log_m = np.max(logs, axis=(0, 2))
-    log_m[log_m == -np.inf] = 0.0
-    table = _ring_table(f, grid, logs, -log_m)
+    table, k = _ring_table(f, grid)
     rings = {p: np.zeros((n_axes, grid.n_r)) for p in ps if p != 2.0}
     if 2.0 in ps:
         parseval = grid.n_theta * np.sum(table * table, axis=(0, 2))
         rings[2.0] = np.broadcast_to(parseval, (n_axes, grid.n_r))
-    return table, log_m, rings
+    return table, k, rings
 
 
 def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
@@ -478,17 +495,17 @@ def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
 
     ``axes`` is one unit imaginary or an (m, 4) array of them; each result
     has shape (m,).  Every exponent reads one ring table of f, scaled by
-    1 / M_r.  At p = 2 its Parseval sums are the ring sums of every slice,
+    2^-k_r.  At p = 2 its Parseval sums are the ring sums of every slice,
     and no node value is computed.  Other exponents share one stem fill of
-    f from the same table and fill |f / M_r|^2 rows a block at a time into
+    f from the same table and fill |2^-k_r f|^2 rows a block at a time into
     one reused buffer, and no (m, nodes) stack is built.
     """
     lifted = _axis_rows(axes)
-    table, log_m, rings = _stem_rings(f, grid, _exponents(pairs), len(lifted))
+    table, k, rings = _stem_rings(f, grid, _exponents(pairs), len(lifted))
     swept = {p: r for p, r in rings.items() if p != 2.0}
     if swept:
         _fill_rings(swept, _stem_terms(table, grid), lifted, np.arange(len(lifted)), grid)
-    return _weighted_norms(rings, grid, pairs, log_m)
+    return _weighted_norms(rings, grid, pairs, k)
 
 
 # Sectors of consecutive angles per ring behind the moment bound of
@@ -501,11 +518,11 @@ _SUP_MARGIN = 1e-6
 
 def _moment_bounds(basis: np.ndarray, lifted: np.ndarray, grid: PolarGrid, weights: dict) -> dict:
     """U(u) >= sum_r ring_r(u) w_r for each axis row of ``lifted`` and each pair of
-    ``weights`` ({pair: (w_r, t)}), with ring_r the sum of |f / M_r|^p over ring r.
+    ``weights`` ({pair: (w_r, t, K)}), with ring_r the sum of |2^-k_r f|^p over ring r.
 
     Each ring is cut into sectors of k consecutive angles.  A sector has the
     moment sums m = sum b and G = sum b b^T of its basis rows b = (2B, A), so
-    on the slice of u, with s = |f / M_r|^2 = [u|1].b, sum s = [u|1].m and
+    on the slice of u, with s = |2^-k_r f|^2 = [u|1].b, sum s = [u|1].m and
     sum s^2 = [u|1]^T G [u|1].  Hoelder's inequality bounds the sector's sum
     of s^q, q = p/2, by k^(1-q) (sum s)^q for q <= 1 and by
     (sum s)^(2-q) (sum s^2)^(q-1) for 1 <= q <= 2; U(u) sums these bounds
@@ -525,7 +542,7 @@ def _moment_bounds(basis: np.ndarray, lifted: np.ndarray, grid: PolarGrid, weigh
     np.maximum(sums, 0.0, out=sums)  # rounding can leave either below 0
     bounds = {}
     with np.errstate(invalid="ignore", over="ignore"):
-        for pair, (w, _) in weights.items():
+        for pair, (w, *_) in weights.items():
             q = 0.5 * pair[0]
             if q <= 1.0:
                 sector = (grid.n_theta // sectors) ** (1.0 - q) * first ** q
@@ -543,7 +560,7 @@ def _fill_open_axes(rings: dict, basis: np.ndarray, lifted: np.ndarray, grid: Po
     """Fill the ring sums of the axes that the moment bound cannot rule out, a
     block of ``_BLOCK_ROWS`` at a time in decreasing order of the bound.
 
-    ``weights`` maps each swept pair to its ``_ring_weights`` (w_r, t).  An axis
+    ``weights`` maps each swept pair to its ``_ring_weights`` (w_r, t, K).  An axis
     is ruled out once U(u) (1 + ``_SUP_MARGIN``) is below the largest filled
     sum_r ring_r w_r of every pair (module docstring).  An axis left out keeps
     ring sums of 0, so its norm, 0, stays below the best one.  Where the best
@@ -570,12 +587,11 @@ def _fill_open_axes(rings: dict, basis: np.ndarray, lifted: np.ndarray, grid: Po
         index = index[np.argsort(-bound[index], kind="stable")[:_BLOCK_ROWS]]
         _fill_rings(rings, basis, lifted, index, grid)
         filled[index] = True
-        for pair, (w, _) in weights.items():
+        for pair, (w, *_) in weights.items():
             best[pair] = np.maximum(best[pair], np.max(np.sum(rings[pair[0]][index] * w, axis=-1)))
-    for pair, (_, top) in weights.items():
-        p = pair[0]
+    for pair, weight in weights.items():
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            norm = best[pair] ** (1.0 / p) * np.exp(top / p)
+            norm = _root(best[pair], pair[0], weight)
         if not np.finfo(float).tiny <= norm < np.inf:
             _fill_rings(rings, basis, lifted, np.flatnonzero(~filled), grid)
             return
@@ -591,13 +607,13 @@ def _sup_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
     p = 2 fills nothing.
     """
     lifted = _axis_rows(axes)
-    table, log_m, rings = _stem_rings(f, grid, _exponents(pairs), len(lifted))
+    table, k, rings = _stem_rings(f, grid, _exponents(pairs), len(lifted))
     swept = [pair for pair in pairs if pair[0] != 2.0]
     if swept:
         _fill_open_axes({p: rings[p] for p in _exponents(swept)}, _stem_terms(table, grid),
-                        lifted, grid, {pair: _ring_weights(grid, pair, log_m) for pair in swept})
+                        lifted, grid, {pair: _ring_weights(grid, pair, k) for pair in swept})
     out = {}
-    for pair, norms in _weighted_norms(rings, grid, pairs, log_m).items():
+    for pair, norms in _weighted_norms(rings, grid, pairs, k).items():
         top = int(np.argmax(norms))
         out[pair] = (float(norms[top]), top)
     return out
@@ -763,67 +779,32 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     return SliceSeries(from_frame(a, b, frame))
 
 
-@functools.lru_cache(maxsize=4)
-def _angle_base(n_theta: int) -> np.ndarray:
-    """Rows (cos theta_k, sin theta_k), shape (2, n_theta), at the grid's angles
-    theta_k = 2 pi k / n_theta (``quadrature.build_polar_grid``); read-only."""
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    base = np.stack([np.cos(theta), np.sin(theta)])
-    base.flags.writeable = False
-    return base
-
-
 # Angular columns of ``sample_on_grid`` gathered and multiplied together: 1 MB
 # of (cos m theta, sin m theta) rows, every angle of the default grid at degree 32.
 _ANGLE_BYTES = 1 << 20
 
 
-def _scaled_log_terms(f: SliceSeries, grid: PolarGrid):
-    """log(|a_{n,c}| r^n 2^-k_r), shape (4, n_r, degree + 1), and the ring
-    exponents k_r, with 2^k_r <= M_r < 2^(k_r + 1) (k_r = 0 where f = 0 or
-    M_r is not finite).
-
-    Each r is 2^e m with e an integer and |log2 m| <= 1/2, and the exponent
-    n e - k_r is an exact integer, so the only rounding of any size is that
-    of n log2 m: the log term of the largest power carries a few units of
-    rounding, not the n |log r| units of ``_log_terms``.
-    """
-    e = np.round(np.log2(grid.r))
-    log2_m = np.log2(np.ldexp(grid.r, -e.astype(int)))
-    n = np.arange(f.degree + 1)
-    with np.errstate(divide="ignore"):
-        log2_a = np.log2(np.abs(f.coeffs.T))
-    whole = e[:, None] * n
-    top = np.max(np.max(log2_a, axis=0) + (whole + log2_m[:, None] * n), axis=1)
-    k = np.where(np.isfinite(top), np.floor(top), 0.0)
-    frac = log2_a[:, None, :] + log2_m[:, None] * n
-    return ((whole - k[:, None]) + frac) * math.log(2.0), k
-
-
 def sample_on_grid(f: SliceSeries, u: Quaternion, grid: PolarGrid) -> np.ndarray:
     """Values of f at the grid nodes of the slice of u, as (n, 4) components.
 
-    Read from the ring table T of ``_ring_table`` (module docstring), scaled
-    by 2^-k_r with 2^k_r <= M_r < 2^(k_r + 1) (``_scaled_log_terms``): on ring
-    r, with z^n aliased mod n_theta,
+    Read from the ring table T and the ring exponents k_r of ``_ring_table``
+    (module docstring): on ring r, with z^n aliased mod n_theta,
 
         f(r e^(u theta)) = 2^k_r sum_m (cos(m theta) T_m + sin(m theta) u T_m).
 
     So every value is one gemm (``np.matmul``) of the rows (T_m, u T_m) of
     each component and ring against the angular columns (cos m theta_j,
-    sin m theta_j), gathered from the grid's angles at index m j mod n_theta.
-    The scale 2^k_r is a power of two: multiplying back is exact, and a
-    value past the float range is +-inf, never 0 * inf = NaN, with no warning.
+    sin m theta_j), gathered from ``quadrature.angle_table`` at index
+    m j mod n_theta.  Each ring is then multiplied by 2^k_r (``_scale_rings``).
     The result is the transpose of a (4, n) array of component rows.
     """
     check_unit_imaginary(u)
-    logs, k = _scaled_log_terms(f, grid)
-    table = _ring_table(f, grid, logs, np.zeros(grid.n_r))
+    table, k = _ring_table(f, grid)
     width = table.shape[-1]
     left = hamilton(u.as_array(), np.eye(4)).T  # column d is u e_d
     rows = np.concatenate([table, np.matmul(left, table.reshape(4, -1)).reshape(table.shape)],
                           axis=-1).reshape(-1, 2 * width)
-    base = _angle_base(grid.n_theta)
+    base = angle_table(grid.n_theta)
     m = np.arange(width)[:, None]
     out = np.empty((4, grid.n_r, grid.n_theta))
     flat = out.reshape(len(rows), grid.n_theta)
@@ -832,9 +813,5 @@ def sample_on_grid(f: SliceSeries, u: Quaternion, grid: PolarGrid) -> np.ndarray
         angles = np.arange(j, min(j + step, grid.n_theta))
         columns = np.take(base, m * angles % grid.n_theta, axis=1).reshape(2 * width, -1)
         np.matmul(rows, columns, out=flat[:, j: j + step])
-    with np.errstate(over="ignore"):
-        if np.all(np.abs(k) <= 1022):
-            out *= np.exp2(k)[:, None]
-        else:
-            np.ldexp(out, k.astype(int)[:, None], out=out)
+    _scale_rings(out.reshape(4, -1), k)
     return out.reshape(4, -1).T

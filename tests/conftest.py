@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import decimal
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,34 @@ def rng():
 def fast_params():
     """Reduced-resolution disk parameters; still exact for the degrees used here."""
     return FockParams(n_r=48, n_theta=128, n_slices=16, degree=16)
+
+
+DECIMAL_PI = decimal.Decimal("3.141592653589793238462643383279502884197")
+
+
+@functools.lru_cache(maxsize=8)
+def exact_unit_circle_decimal(n_theta: int) -> tuple:
+    """(cos, sin) of 2 pi j / n_theta for j = 0..n_theta - 1, as 40-digit Decimals
+    from Taylor sums at the angle reduced to [-pi, pi]."""
+    dec = decimal.Decimal
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for j in range(n_theta):
+            t = 2 * DECIMAL_PI * j / n_theta
+            if t > DECIMAL_PI:
+                t -= 2 * DECIMAL_PI
+            term, parts = dec(1), [dec(0), dec(0)]
+            for k in range(60):
+                parts[k % 2] += term if k % 4 < 2 else -term
+                term = term * t / (k + 1)
+            out.append(tuple(parts))
+    return tuple(out)
+
+
+def exact_unit_circle(n_theta: int) -> np.ndarray:
+    """``exact_unit_circle_decimal`` rounded once to floats, shape (n_theta, 2)."""
+    return np.array(exact_unit_circle_decimal(n_theta), dtype=float)
 
 
 def make_series(rng: np.random.Generator, degree: int) -> SliceSeries:

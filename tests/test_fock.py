@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import decimal
-import functools
 import math
 import os
 import subprocess
@@ -38,7 +37,8 @@ from slicefock.fock import slice_abs_sq, slice_norms, stem_norms
 from slicefock.quaternions import from_frame, random_unit_imaginary, slice_frame, to_frame
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
-from conftest import ball_point, horner_tolerance, make_series, node_area
+from conftest import (DECIMAL_PI, ball_point, exact_unit_circle, horner_tolerance, make_series,
+                      node_area)
 
 
 # -- parameter validation -------------------------------------------------------
@@ -366,9 +366,9 @@ def _norm_case_pairs(ps):
 
 @pytest.mark.parametrize("domain", ["disk", "plane"])
 def test_stem_norms_equal_the_filled_rows_off_p2(domain, rng):
-    # stem_norms fills |f / M_r|^2 and the rows hold |f|^2 itself, so the two
-    # round apart: the worst gap over 40 seeds of this loop was 18.7 eps
-    # relative (plane, degree 20).  Each axis still gets the bits of the sample.
+    # stem_norms weighs its sums of |2^-k_r f|^p by 2^(p (k_r - K)) and the rows
+    # hold |f|^2 itself, so the two round apart: the worst gap over 40 seeds of
+    # this loop was 16.9 eps relative.  Each axis still gets the bits of the sample.
     params = FockParams(domain=domain, n_r=16, n_theta=64)
     grid = build_grid(params)
     axes = slice_sample(params.n_slices)
@@ -435,9 +435,6 @@ def test_p2_norm_is_finite_where_the_gaussian_underflows():
     assert abs(norm * norm / gram_table(params, grid)[150] - 1.0) <= 1e-12
 
 
-_PI = decimal.Decimal("3.141592653589793238462643383279502884197")
-
-
 def _plane_monomial_norm(n: int, p: Fraction) -> float:
     """||q^n||_p on the whole plane at alpha = 1, Gamma(np/2 + 1)^(1/p) (2/p)^(n/2),
     in 40-digit decimals.  np must be an integer k: Gamma(k/2 + 1) is (k/2)!
@@ -451,7 +448,7 @@ def _plane_monomial_norm(n: int, p: Fraction) -> float:
         if k_even:
             gamma = dec(math.factorial(m))
         else:
-            gamma = dec(math.factorial(2 * m)) / dec(4 ** m * math.factorial(m)) * _PI.sqrt()
+            gamma = dec(math.factorial(2 * m)) / dec(4 ** m * math.factorial(m)) * DECIMAL_PI.sqrt()
         two_over_p = dec(2 * p.denominator) / p.numerator
         log_norm = gamma.ln() * p.denominator / p.numerator + n * two_over_p.ln() / 2
         return float(log_norm.exp())
@@ -494,13 +491,34 @@ def test_monomial_norm_reference_past_the_float_range_matches_stem_norms():
 @pytest.mark.parametrize("ps", [(2.0,), (3.0,), (2.0, 4.0, 1.5)], ids=["2", "3", "mixed"])
 def test_stem_norms_builds_one_ring_table_per_call(ps, monkeypatch, rng):
     calls = []
-    for name in ("_log_terms", "_ring_table"):
-        real = getattr(fock, name)
-        monkeypatch.setattr(fock, name, lambda *args, _name=name, _real=real:
-                            calls.append(_name) or _real(*args))
+    real = fock._ring_table
+    monkeypatch.setattr(fock, "_ring_table", lambda *args: calls.append(args) or real(*args))
     grid = build_grid(FockParams(n_r=16, n_theta=64))
     stem_norms(make_series(rng, 9), slice_sample(8), grid, _norm_case_pairs(ps))
-    assert sorted(calls) == ["_log_terms", "_ring_table"]
+    assert len(calls) == 1
+
+
+def test_ring_table_scales_each_ring_by_the_power_of_two_at_or_above_its_largest_term(rng):
+    # below n_theta no power aliases, so the largest |T| of ring r is
+    # M_r 2^-k_r with k_r = ceil(log2 M_r): in (1/2, 1], at any scale of f
+    for domain, scale in (("disk", 1.0), ("plane", 1.0), ("disk", 1e-300), ("plane", 1e300)):
+        grid = build_grid(FockParams(domain=domain, n_r=16, n_theta=64))
+        for degree in (0, 1, 10, 32, 63):
+            table, k = fock._ring_table(SliceSeries(make_series(rng, degree).coeffs * scale), grid)
+            assert table.shape == (4, 16, degree + 1) and k.dtype.kind == "i"
+            top = np.max(np.abs(table), axis=(0, 2))
+            assert np.all((0.5 < top) & (top <= 1.0)), (domain, scale, degree)
+    grid = build_grid(FockParams(n_r=16, n_theta=64))
+    table, k = fock._ring_table(SliceSeries(np.zeros((6, 4))), grid)
+    assert np.all(k == 0) and np.all(table == 0.0)
+    coeffs = rng.standard_normal((6, 4))
+    coeffs[3, 2] = math.nan
+    f = SliceSeries(coeffs)
+    table, k = fock._ring_table(f, grid)
+    assert np.all(k == 0) and np.all(np.isnan(table[2, :, 3]))
+    norms = stem_norms(f, slice_sample(8), grid, [(2.0, 1.0), (3.0, 1.0)])
+    assert all(np.all(np.isnan(v)) for v in norms.values())
+    assert np.all(np.isnan(sample_on_grid(f, I, grid)))
 
 
 def test_stem_norms_nan_coefficient_gives_nan(rng):
@@ -625,12 +643,12 @@ def test_moment_bound_covers_every_axis(rng):
     lifted = fock._axis_rows(axes)
     pairs = [(p, a) for p in _SUP_PS[:-1] for a in (0.5, 1.0)]
     for f in _sup_cases(rng, grid, axes)[::3]:
-        table, log_m, rings = fock._stem_rings(f, grid, fock._exponents(pairs), len(lifted))
+        table, k, rings = fock._stem_rings(f, grid, fock._exponents(pairs), len(lifted))
         basis = fock._stem_terms(table, grid)
         fock._fill_rings(rings, basis, lifted, np.arange(len(lifted)), grid)
-        weights = {pair: fock._ring_weights(grid, pair, log_m) for pair in pairs}
+        weights = {pair: fock._ring_weights(grid, pair, k) for pair in pairs}
         bounds = fock._moment_bounds(basis, lifted, grid, weights)
-        for pair, (w, _) in weights.items():
+        for pair, (w, _, _) in weights.items():
             exact = np.sum(rings[pair[0]] * w, axis=-1)
             assert np.all(bounds[pair] * (1.0 + fock._SUP_MARGIN) >= exact), pair
 
@@ -651,8 +669,9 @@ def test_sup_norms_fill_few_rows_on_the_plane_at_p3(rng, monkeypatch):
 
 
 def test_sup_norms_of_a_nan_ring_table_are_nan(rng, monkeypatch):
-    monkeypatch.setattr(fock, "_ring_table",
-                        lambda f, grid, logs, shift: np.full(logs.shape, math.nan))
+    monkeypatch.setattr(fock, "_ring_table", lambda f, grid: (
+        np.full((4, grid.n_r, min(f.degree + 1, grid.n_theta)), math.nan),
+        np.zeros(grid.n_r, dtype=int)))
     grid = build_grid(FockParams(n_r=16, n_theta=64))
     pairs = [(p, 1.0) for p in _SUP_PS] + [(2.0, 1.0)]
     sups = fock._sup_norms(make_series(rng, 6), slice_sample(8), grid, pairs)
@@ -1081,46 +1100,27 @@ def test_projection_rejects_malformed_samples(samples):
         projection_series(samples, I, FockParams(n_r=8, n_theta=8))
 
 
-@functools.lru_cache(maxsize=4)
-def _exact_unit_circle(n_theta: int) -> np.ndarray:
-    """(cos, sin) of 2 pi j / n_theta, shape (n_theta, 2), each rounded once from
-    40-digit Taylor sums.  The grid's own nodes are r exp(i theta) at a rounded
-    theta, which moves z^m by up to m |d theta| |z|^m; these do not."""
-    dec = decimal.Decimal
-    out = np.empty((n_theta, 2))
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        for j in range(n_theta):
-            t = 2 * _PI * j / n_theta
-            if t > _PI:
-                t -= 2 * _PI
-            term, parts = dec(1), [dec(0), dec(0)]
-            for k in range(60):
-                parts[k % 2] += term if k % 4 < 2 else -term
-                term = term * t / (k + 1)
-            out[j] = [float(parts[0]), float(parts[1])]
-    return out
-
-
-def _node_quaternions(grid, u: Quaternion, nodes) -> list:
-    """r (cos theta + u sin theta) at the given flat node indices, exact-angle nodes."""
-    units = _exact_unit_circle(grid.n_theta)
+def _node_quaternions(grid, u: Quaternion, nodes, exact: bool = True) -> list:
+    """r (cos theta + u sin theta) at the given flat node indices: the exact-angle
+    nodes, or with ``exact=False`` the grid's own nodes ``grid.z``."""
+    units = exact_unit_circle(grid.n_theta)
     out = []
     for i in nodes:
         r = grid.r[i // grid.n_theta]
-        x, y = r * units[i % grid.n_theta]
+        x, y = r * units[i % grid.n_theta] if exact else (grid.z[i].real, grid.z[i].imag)
         out.append(Quaternion(x, y * u.x1, y * u.x2, y * u.x3))
     return out
 
 
-def assert_samples_match_eval(f: SliceSeries, u: Quaternion, grid, nodes) -> None:
-    """sample_on_grid against the scalar eval at the node quaternions, within
-    64 eps (1 + sum_n |a_n| r^n)."""
+def assert_samples_match_eval(f: SliceSeries, u: Quaternion, grid, nodes,
+                              exact: bool = True) -> None:
+    """sample_on_grid against the scalar eval at the node quaternions of
+    ``_node_quaternions``, within 64 eps (1 + sum_n |a_n| r^n)."""
     got = sample_on_grid(f, u, grid)
     assert got.shape == (grid.size, 4)
     weights = np.linalg.norm(f.coeffs, axis=1)
     eps = np.finfo(float).eps
-    for i, q in zip(nodes, _node_quaternions(grid, u, nodes)):
+    for i, q in zip(nodes, _node_quaternions(grid, u, nodes, exact)):
         r = grid.r[i // grid.n_theta]
         bound = 64 * eps * (1.0 + np.polynomial.polynomial.polyval(r, weights))
         assert np.linalg.norm(got[i] - f.eval(q).as_array()) <= bound, i
@@ -1138,6 +1138,18 @@ def test_sample_on_grid_matches_the_scalar_oracle(domain, degree, rng):
     nodes = list(range(0, grid.size, 53)) + [grid.size - 1]
     for u in (I, J, K, random_unit_imaginary(rng), random_unit_imaginary(rng)):
         assert_samples_match_eval(f, u, grid, nodes)
+
+
+@pytest.mark.parametrize("domain", ["disk", "plane"])
+def test_sample_on_grid_matches_the_scalar_oracle_at_the_grid_nodes(domain, rng):
+    # grid.z is built on quadrature.angle_table, so the oracle holds at the
+    # grid's own nodes too: worst measured over six seeds 31 eps at degree 32
+    # on the plane, where the nodes of rounded angles read up to 90 eps
+    grid = build_grid(FockParams(domain=domain))
+    f = make_series(rng, 32)
+    nodes = list(range(0, grid.size, 53)) + [grid.size - 1]
+    for u in (I, random_unit_imaginary(rng)):
+        assert_samples_match_eval(f, u, grid, nodes, exact=False)
 
 
 @pytest.mark.parametrize("domain", ["disk", "plane"])

@@ -276,8 +276,9 @@ def test_n_series_changes_the_norm_sandwich_record_alone(monkeypatch, capsys):
 
 def _nan_slice_norms(monkeypatch):
     """NaN for every exponent: the ring table is the one grid reader of every slice norm."""
-    monkeypatch.setattr(fock, "_ring_table",
-                        lambda f, grid, logs, shift: np.full(logs.shape, math.nan))
+    monkeypatch.setattr(fock, "_ring_table", lambda f, grid: (
+        np.full((4, grid.n_r, min(f.degree + 1, grid.n_theta)), math.nan),
+        np.zeros(grid.n_r, dtype=int)))
 
 
 # norm-sandwich also reads the ring table but still skips NaN ratios: perfbench's

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from slicefock import (
     gram_table,
     slice_sample,
 )
+from slicefock.quadrature import angle_table
 from slicefock.reference import (
     gaussian_disk_mass,
     lower_incomplete_gamma,
@@ -25,7 +27,7 @@ from slicefock.reference import (
     monomial_norm_reference,
 )
 
-from conftest import assert_bit_identical, node_area
+from conftest import assert_bit_identical, exact_unit_circle_decimal, node_area
 
 
 # -- the slow reference integrals are validated against scipy ----------------
@@ -138,6 +140,27 @@ def test_grid_weights_are_positive_and_immutable():
         grid.z[0] = 0.0
     with pytest.raises(ValueError):
         grid.ring_area[0] = 0.0
+
+
+@pytest.mark.parametrize("n_theta", [4, 7, 8, 12, 64, 100, 256, 1024])
+def test_angle_table_is_within_half_an_eps_of_the_exact_circle(n_theta):
+    # whole quarter turns come off in integers before cos and sin; the cos and
+    # sin of a rounded 2 pi k / n_theta were up to 3.7 eps off (n_theta = 100)
+    table = angle_table(n_theta)
+    exact = exact_unit_circle_decimal(n_theta)
+    worst = max(abs(decimal.Decimal(float(table[c, j])) - exact[j][c])
+                for j in range(n_theta) for c in range(2))
+    assert worst <= decimal.Decimal(np.finfo(float).eps) / 2
+    assert angle_table(n_theta) is table and not table.flags.writeable
+    assert not np.any(np.signbit(table) & (table == 0.0))  # no -0.0
+
+
+def test_grid_nodes_are_the_radii_times_the_angle_table():
+    grid = build_polar_grid(16, 100, 6.5)
+    cos, sin = angle_table(100)
+    nodes = grid.z.reshape(16, 100)
+    assert_bit_identical(nodes.real, grid.r[:, None] * cos)
+    assert_bit_identical(nodes.imag, grid.r[:, None] * sin)
 
 
 # -- gram diagonal -------------------------------------------------------------
