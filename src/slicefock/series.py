@@ -18,9 +18,10 @@ z = x + iy, every power splits as (x + yu)^n = Re(z^n) + u Im(z^n), so
 and ``eval_many`` takes F1 and F2 at a block of points at a time from a
 table of the powers z^n (``_powers``) and one real gemm (``np.matmul``)
 against the coefficient rows, then forms u F2 with one Hamilton product.
-``SplitPair.eval_components`` keeps the complex Horner sweep (``_horner``)
-of a split pair, and the scalar ``eval`` keeps the quaternion Horner loop,
-as an independent check.
+Where that table overflows, ``eval_many`` takes F1 + i F2 from the complex
+Horner sweep ``_horner`` instead, the sweep behind
+``SplitPair.eval_components``.  Only the scalar ``eval`` keeps the
+quaternion Horner loop, as an independent check.
 """
 
 from __future__ import annotations
@@ -118,21 +119,6 @@ def _halves(coeffs: np.ndarray) -> np.ndarray:
     rows[:4] = coeffs[:h].T
     rows[4:, : top - h] = coeffs[h:top].T
     return rows
-
-
-def _eval_rows(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_n q^n a_n at (4, M) component rows, by the loop acc = q acc + a_n of
-    ``SliceSeries.eval`` (the same products, in the same order); NaN in every
-    component at a point with a NaN or infinite component."""
-    acc = np.repeat(coeffs[-1][:, None], q.shape[1], axis=1)
-    step = np.empty_like(acc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in coeffs[-2::-1]:
-            _hamilton_rows(q, acc, step)
-            step += c[:, None]
-            acc, step = step, acc
-    acc[:, ~np.isfinite(q).all(axis=0)] = np.nan
-    return acc
 
 
 @dataclass(frozen=True)
@@ -246,8 +232,9 @@ class SliceSeries:
         everywhere, as a broadcast copy with no table.  Trailing zero
         coefficients are left out of the table, and a point whose value from
         the table is not finite (a NaN or infinite point, or a power past
-        the float range) takes the quaternion loop of ``eval`` instead
-        (``_eval_rows``): the table never turns a finite value into NaN.
+        the float range) takes F1 + i F2 from the complex Horner sweep
+        ``_horner`` on the four coefficient columns instead, then the same
+        Hamilton product: the table never turns a finite value into NaN.
         """
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1:] != (4,):
@@ -280,7 +267,13 @@ class SliceSeries:
                     far.append(start + np.flatnonzero(~finite))
         if far:
             far = np.concatenate(far)
-            rows[:, far] = _eval_rows(self.coeffs, flat[far].T)
+            z, axis = _slice_coords_rows(flat[far].T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = _horner(self.coeffs, z)
+                out = _hamilton_rows(axis, f.imag, np.empty((4, len(far))))
+                out += f.real
+            out[:, ~np.isfinite(flat[far]).all(axis=1)] = np.nan
+            rows[:, far] = out
         return rows.T.reshape(pts.shape)
 
     # -- star algebra --------------------------------------------------------

@@ -320,7 +320,7 @@ _FILL_HASH_SCRIPT = """
 import hashlib
 import numpy as np
 from slicefock import (FockParams, Quaternion, build_grid, fock_norm_slice, fock_norm_sup,
-                       random_series)
+                       random_series, sample_on_grid)
 from slicefock.fock import _sup_norms, slice_abs_sq, stem_norms
 from slicefock.quadrature import slice_sample
 digest = hashlib.sha256()
@@ -341,6 +341,16 @@ for domain in ("disk", "plane"):
             digest.update(np.array([value, best]).tobytes())
         sup = fock_norm_sup(f, params, grid)
         digest.update(np.array([sup.value] + list(sup.axis.as_array())).tobytes())
+    # the grid samples and eval_many are gemms of their own
+    for seed, degree in ((5, 3), (6, 10), (7, 32)):
+        f = random_series(seed, degree)
+        for u in axes[::9]:
+            digest.update(sample_on_grid(f, Quaternion.from_components(u), grid).tobytes())
+rng = np.random.default_rng(8)
+points = rng.standard_normal((20000, 4))
+points *= rng.uniform(size=(20000, 1)) ** 0.25 / np.linalg.norm(points, axis=1, keepdims=True)
+for seed, degree in ((9, 1), (10, 10), (11, 32)):
+    digest.update(random_series(seed, degree).eval_many(points).tobytes())
 print(digest.hexdigest())
 """
 

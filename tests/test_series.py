@@ -21,6 +21,7 @@ from slicefock import (
     pointwise_star_residual,
     write_series,
 )
+from slicefock import series
 from slicefock.quaternions import random_unit_imaginary
 
 from conftest import (
@@ -425,28 +426,51 @@ def test_eval_and_extend_many_give_nan_at_nonfinite_points(rng):
 
 
 @pytest.mark.parametrize("size", (1e100, 1e200))
-def test_eval_many_past_the_float_range_of_the_power_table(size, rng):
+def test_eval_many_past_the_float_range_of_the_power_table(size, rng, monkeypatch):
     # The power table can overflow where Horner's sums do not.  Trailing zero
-    # coefficients are cut off before the table is built, and a point whose
-    # table value is not finite takes the quaternion loop of eval: the values
-    # here are finite and agree with eval to Horner's bound, with
+    # coefficients are cut off before the table is built, and exactly the
+    # points whose table value is not finite go through the complex Horner
+    # sweep of the stem function, series._horner, also in a batch that mixes
+    # them with ordinary points.  The values here are finite and agree with
+    # the scalar eval, a separate quaternion loop, to Horner's bound, with
     # |q| <= 2 max |q_k|, since |q|^2 itself overflows at 1e200
+    horner, swept = series._horner, []
+
+    def recording(coeffs, z):
+        swept.append(np.array(z))
+        return horner(coeffs, z)
+
+    monkeypatch.setattr(series, "_horner", recording)
     v = rng.standard_normal((40, 4))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    points = size * v
-    points[:5, 1:] = 0.0                         # real points
+    v[:5, 1:] = 0.0                              # real points
+    near = 0.5 * rng.standard_normal((20, 4))
+    batches = ((size * v, np.arange(40)),
+               (np.vstack([near[:10], size * v, near[10:]]), np.arange(10, 50)))
     trailing = rng.standard_normal((7, 4))
     trailing[2:] = 0.0
     tiny_top = rng.standard_normal((3, 4))
     tiny_top[2] *= 1e-300
-    for f in (SliceSeries(trailing), SliceSeries(tiny_top)):
-        got = f.eval_many(points)
-        want = [f.eval(Quaternion.from_components(q)).as_array() for q in points]
-        weights = np.polynomial.polynomial.polyval(2.0 * np.abs(points).max(axis=1),
-                                                   np.linalg.norm(f.coeffs, axis=1))
-        tol = 4.0 * (f.degree + 1) * np.finfo(float).eps * weights
-        assert np.all(np.isfinite(got))
-        assert np.all(np.abs(got - want).max(axis=1) <= tol)
+    # the table holds z^0..z^h, h half the coefficients up to the last
+    # nonzero one, rounded up: its values overflow where |z|^h = size^h does
+    for f, h in ((SliceSeries(trailing), 1), (SliceSeries(tiny_top), 2)):
+        overflows = h * math.log(size) > math.log(np.finfo(float).max)
+        for points, far in batches:
+            swept.clear()
+            got = f.eval_many(points)
+            if overflows:
+                assert len(swept) == 1
+                assert np.array_equal(swept[0].real, points[far, 0])
+                assert np.allclose(swept[0].imag, size * np.linalg.norm(v[:, 1:], axis=1),
+                                   rtol=1e-15, atol=0.0)
+            else:
+                assert swept == []
+            want = [f.eval(Quaternion.from_components(q)).as_array() for q in points]
+            weights = np.polynomial.polynomial.polyval(2.0 * np.abs(points).max(axis=1),
+                                                       np.linalg.norm(f.coeffs, axis=1))
+            tol = 4.0 * (f.degree + 1) * np.finfo(float).eps * weights
+            assert np.all(np.isfinite(got))
+            assert np.all(np.abs(got - want).max(axis=1) <= tol)
 
 
 # -- bit identity with the earlier (M, 4) formulas --------------------------------
