@@ -721,12 +721,7 @@ def _kernel_weights(params: FockParams, grid: Optional[PolarGrid], corrected: bo
     """Kernel weights c_n, n = 0..degree: alpha^n / n!, or 1 / gram_n if corrected."""
     if corrected:
         return 1.0 / gram_table(params, grid)
-    weights = np.empty(params.degree + 1)
-    acc = 1.0
-    for n in range(params.degree + 1):
-        weights[n] = acc
-        acc *= params.alpha / (n + 1)
-    return weights
+    return np.cumprod(np.r_[1.0, params.alpha / np.arange(1, params.degree + 1)])
 
 
 def kernel_series(w: Quaternion, params: FockParams, *, corrected: bool = False) -> SliceSeries:

@@ -282,7 +282,7 @@ def _nan_slice_norms(monkeypatch):
 
 
 # norm-sandwich also reads the ring table but still skips NaN ratios: perfbench's
-# test_nan_injection_raises_fail_ratio pins that loop
+# test_nan_injection_raises_fail_ratio pins that skip
 @pytest.mark.parametrize("check_id", ["growth-bound", "growth-normalized", "embedding",
                                       "dilation", "poly-density"])
 def test_slice_norm_checks_fail_on_nan_stem_terms(check_id, monkeypatch):
@@ -291,6 +291,43 @@ def test_slice_norm_checks_fail_on_nan_stem_terms(check_id, monkeypatch):
     outcome = run_check(check_id, RunConfig(n_r=16, n_theta=64, n_slices=8))
     assert math.isnan(outcome.lhs) and not outcome.passed
 
+
+def _sandwich_loop(rows):
+    """The strict-> loop that norm-sandwich reduced with before ``_worst``: it skips
+    NaN, keeps the first of tied ratios, and starts from (0.0, 4.0)."""
+    worst, worst_const = 0.0, 2.0 ** 2
+    for row in rows:
+        for (p, _), ratio in zip(checks._SANDWICH_PAIRS, row):
+            if ratio > worst:
+                worst, worst_const = ratio, 2.0 ** p
+    return worst, worst_const
+
+
+NAN, INF = math.nan, math.inf
+SANDWICH_ROWS = {
+    # column j is pair j of _SANDWICH_PAIRS: p = 4/3 (0-2), 2 (3-5), 3 (6-8)
+    "nan-among-positive": [[0.1, NAN, 0.3, 0.2, 0.5, NAN, 0.4, 0.1, 0.2],
+                           [NAN, 0.2, 0.1, 0.3, 0.1, 0.2, 0.3, 0.45, NAN]],
+    "tie-in-a-row": [[0.2, 0.7, 0.1, 0.3, 0.1, 0.2, 0.7, 0.1, 0.2]],
+    "tie-across-rows": [[0.2, 0.1, 0.1, 0.3, 0.1, 0.2, 0.1, 0.6, 0.2],
+                        [0.6, 0.1, 0.1, 0.3, 0.1, 0.2, 0.1, 0.6, 0.2]],
+    "inf": [[0.2, 0.1, NAN, 0.3, 0.1, INF, 0.1, 0.6, INF]],
+    "all-nan": [[NAN] * 9, [NAN] * 9],
+    "nan-and-zero": [[0.0, NAN, 0.0, 0.0, 0.0, 0.0, NAN, 0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SANDWICH_ROWS))
+def test_norm_sandwich_reduces_like_the_skipping_loop(case, monkeypatch):
+    rows = SANDWICH_ROWS[case]
+    monkeypatch.setattr(checks, "_norm_sandwich_draw", lambda rng, k, config: rows[k])
+    outcome = run_check("norm-sandwich", RunConfig(n_series=len(rows)))
+    worst, const = _sandwich_loop(rows)
+    assert outcome.lhs == worst
+    assert outcome.passed == (worst <= 1.0 + 1e-8 and math.isfinite(worst))
+    # the one difference: with no positive ratio the constant is the first pair's
+    want = const if worst > 0.0 else 2.0 ** (4.0 / 3.0)
+    assert outcome.constant == want
 
 
 def test_plane_sups_are_the_largest_stem_norms():
