@@ -15,9 +15,11 @@ with c_n = alpha^n / n!, the reciprocal of ||q^n||^2 on the whole plane
 (Alpay, Colombo, Sabadini and Salomon, The Fock space in the slice
 hyperholomorphic setting, 2014).  The domain-corrected kernel takes
 c_n = 1 / gamma_n from the measured Gram diagonal, so it reproduces
-monomials on either domain by construction.  ``_kernel_weights`` is the
-one definition of c_n behind ``kernel_series`` and ``projection_series``;
-K(q, w) itself is ``kernel_series(w, params).eval(q)``.
+monomials on either domain by construction.  ``_kernel_weights`` is the one
+definition of c_n, as the ratios rho_n = c_n / c_(n-1), rho_0 = c_0: alpha / n,
+or e^(L_(n-1) - L_n) from the log Gram sums below.  ``projection_series`` and
+``kernel_series`` multiply them up to c_n and to c_n conj(w)^n; K(q, w) itself
+is ``kernel_series(w, params).eval(q)``.
 
 Slice norms go through the stem function F = F1 + i F2 of the series
 (Ghiloni and Perotti, Slice regular functions on real alternative algebras,
@@ -46,9 +48,10 @@ angular sum of each ring is a DFT: with theta_j = 2 pi j / n_theta,
 sum_j e^(-i n theta_j) x_j is bin n mod n_theta of ``np.fft.fft(x)``, and
 conj(z)^n aliases mod n_theta on the grid exactly as the bins do.  The Gram
 diagonal and the moments sum over lambda_r r^n = exp(log lambda_r + n log r)
-(``_weighted_powers``):
+(``_log_weighted_powers``):
 
-  * Gram diagonal: gamma_m = n_theta sum_r lambda_r r^(2m);
+  * Gram diagonal: gamma_m = e^(L_m), L_m = log(n_theta sum_r lambda_r r^(2m))
+    by one log-sum-exp over the rings (``_log_gram``), finite past the float range;
   * moment n of grid samples g, M_n = integral conj(z)^n g dlambda:
     sum_r lambda_r r^n spectrum[r, n mod n_theta], one FFT over the angles
     of each ring of the frame samples (``_moments``); the projection is
@@ -117,28 +120,22 @@ best norm past the float range or below the normal range (where norms the
 margin separates can round to a tie) fill every slice.
 
 The values of a slice on the grid (``sample_on_grid``) are one gemm of the
-rows (T_m, u T_m) against cos m theta_j and sin m theta_j, gathered from
-the grid's angle table (``quadrature.angle_table``) at index m j mod
-n_theta, and each ring is multiplied by 2^k_r: past the float range a value
-is +-inf, never NaN.  The projection splits its samples, and the
-inner product splits g, as F + G v in the frame (1, u, v, uv) of
-``quaternions.slice_frame`` through ``to_frame``/``from_frame``.  The
-inner product keeps its g samples on that split and the complex Horner
-sweep (``SplitPair.eval_components``): samples taken from the ring table
-would hand ``_moments`` back nearly the table itself, and orthogonality
-and hermiticity would hold almost by construction, not as residuals of
-the quadrature.
+ring table against the grid's angle table, each ring multiplied by 2^k_r:
+past the float range a value is +-inf, never NaN.  The projection splits its
+samples, and the inner product splits g, as F + G v in the frame
+(1, u, v, uv) of ``quaternions.slice_frame`` (``to_frame``/``from_frame``).
+The inner product keeps its g samples on that split and the complex Horner
+sweep (``SplitPair.eval_components``): samples from the ring table would
+hand ``_moments`` back nearly the table itself, and orthogonality and
+hermiticity would hold almost by construction, not as quadrature residuals.
 
-The row fill is the one BLAS call behind a norm.  It is a gemm, which gives a
-row the same bits whatever the block size and the number of BLAS threads (a
-one-row product, which numpy sends to gemv, is filled as two equal rows); a
-test compares the fills and the sups at one and two OpenBLAS threads.  The
-moment bound adds gemms that only choose which rows to fill.  No reduction goes
-through BLAS: the sums are numpy's ``np.sum`` (pairwise) and, for the four
-fused powers, ``np.einsum`` without ``optimize``, a single-threaded C loop
-that sums in a fixed order whatever the number of rows.  numpy's FFT runs no
-threads either, so equal inputs give bit-identical outputs whatever the
-thread count.
+The row fill is the one BLAS call behind a norm: a gemm gives a row the same
+bits whatever the block size and the number of BLAS threads (``_slice_rows``;
+a test compares one and two OpenBLAS threads), and the moment bound's gemms
+only choose which rows to fill.  No reduction goes through BLAS: ``np.sum`` is
+pairwise and ``np.einsum`` without ``optimize`` a single-threaded loop in a
+fixed order, and numpy's FFT runs no threads, so equal inputs give
+bit-identical outputs whatever the thread count.
 """
 
 from __future__ import annotations
@@ -151,8 +148,8 @@ import numpy as np
 
 from ._workspace import scratch
 from .quadrature import PolarGrid, angle_table, build_polar_grid, slice_sample
-from .quaternions import (ONE, Quaternion, check_unit_imaginary, from_frame, hamilton, slice_frame,
-                          to_frame)
+from .quaternions import (Quaternion, _slice_coords_rows, check_unit_imaginary, from_frame,
+                          hamilton, slice_frame, to_frame)
 from .series import SliceSeries
 
 __all__ = [
@@ -353,9 +350,8 @@ def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
     them (result shape (m, n), one row per axis).  Every row comes from the
     same stem-function fill of f: 4^-k_r |f|^2 = A + 2 u.B (module
     docstring), written into the result a block of rows at a time, so that
-    the clamp of ``_slice_rows`` reads rows still in cache (faster than one
-    product and one clamp over the whole stack), and then multiplied by
-    4^k_r ring by ring (``_scale_rings``).
+    the clamp of ``_slice_rows`` reads rows still in cache, and then
+    multiplied by 4^k_r ring by ring (``_scale_rings``).
     """
     table, k = _ring_table(f, grid)
     basis = _stem_terms(table, grid)
@@ -518,15 +514,10 @@ _SUP_MARGIN = 1e-6
 
 def _moment_bounds(basis: np.ndarray, lifted: np.ndarray, grid: PolarGrid, weights: dict) -> dict:
     """U(u) >= sum_r ring_r(u) w_r for each axis row of ``lifted`` and each pair of
-    ``weights`` ({pair: (w_r, t, K)}), with ring_r the sum of |2^-k_r f|^p over ring r.
-
-    Each ring is cut into sectors of k consecutive angles.  A sector has the
-    moment sums m = sum b and G = sum b b^T of its basis rows b = (2B, A), so
-    on the slice of u, with s = |2^-k_r f|^2 = [u|1].b, sum s = [u|1].m and
-    sum s^2 = [u|1]^T G [u|1].  Hoelder's inequality bounds the sector's sum
-    of s^q, q = p/2, by k^(1-q) (sum s)^q for q <= 1 and by
-    (sum s)^(2-q) (sum s^2)^(q-1) for 1 <= q <= 2; U(u) sums these bounds
-    with the ring weights.  p > 4 has no bound here: U = inf.
+    ``weights`` ({pair: (w_r, t, K)}), with ring_r the sum of |2^-k_r f|^p over ring r:
+    the Hoelder bound of each sector from its sums m = sum b and G = sum b b^T of
+    the basis rows b = (2B, A) (module docstring), summed with the ring weights.
+    p > 4 has no bound here: U = inf.
     """
     sectors = math.gcd(_SECTORS, grid.n_theta)
     cols = grid.n_r * sectors
@@ -558,14 +549,12 @@ def _moment_bounds(basis: np.ndarray, lifted: np.ndarray, grid: PolarGrid, weigh
 def _fill_open_axes(rings: dict, basis: np.ndarray, lifted: np.ndarray, grid: PolarGrid,
                     weights: dict) -> None:
     """Fill the ring sums of the axes that the moment bound cannot rule out, a
-    block of ``_BLOCK_ROWS`` at a time in decreasing order of the bound.
-
-    ``weights`` maps each swept pair to its ``_ring_weights`` (w_r, t, K).  An axis
-    is ruled out once U(u) (1 + ``_SUP_MARGIN``) is below the largest filled
-    sum_r ring_r w_r of every pair (module docstring).  An axis left out keeps
-    ring sums of 0, so its norm, 0, stays below the best one.  Where the best
-    norm is past the float range or below the normal range, norms that the
-    margin separates can round to a tie, so every axis is filled.
+    block of ``_BLOCK_ROWS`` at a time in decreasing order of the bound, for
+    ``weights`` {swept pair: ``_ring_weights`` (w_r, t, K)}; the stop rule is the
+    module docstring's.  An axis left out keeps ring sums of 0, below the best
+    norm.  Where the best norm is past the float range or below the normal
+    range, norms that the margin separates can round to a tie, so every axis is
+    filled.
     """
     if not np.any(basis[:3]):  # B = 0: every slice has the rows of the first axis
         _fill_rings(rings, basis, lifted, np.arange(1), grid)
@@ -660,22 +649,19 @@ def fock_norm_sup(f: SliceSeries, params: FockParams,
     return SupNorm(value, Quaternion.from_components(axes[best]))
 
 
-def _weighted_powers(grid: PolarGrid, alpha: float, n: np.ndarray) -> np.ndarray:
-    """lambda_r r^n per ring and exponent, shape (n_r, len(n)), formed in logs as
-    exp(log lambda_r + n log r), so an underflowed weight never meets an
-    overflowed power (0 * inf = NaN)."""
-    return np.exp(grid.log_ring_weights(alpha)[:, None] + np.log(grid.r)[:, None] * n)
+def _log_weighted_powers(grid: PolarGrid, alpha: float, n: np.ndarray) -> np.ndarray:
+    """log lambda_r + n log r per ring and exponent, shape (n_r, len(n)): an
+    underflowed weight never meets an overflowed power (0 * inf = NaN)."""
+    return grid.log_ring_weights(alpha)[:, None] + np.log(grid.r)[:, None] * n
 
 
 def _moments(c1, c2, grid: PolarGrid, alpha: float, degree: int) -> np.ndarray:
     """Moments M_n, n = 0..degree, of the samples c1 + c2 v at the grid nodes,
     as frame pairs, shape (2, degree + 1): one FFT per ring (module docstring).
-    c1 and c2 are transformed one after the other, so that no stack of both
-    samples is built: with the stack's 512 kB spectrum, allocated and freed
-    on every call, a cold seed-3 verify pass faulted about 115k pages, and
-    3.1k without it (``resource.getrusage``)."""
+    c1 and c2 are transformed one at a time: a stack of both (a fresh 512 kB
+    spectrum per call) made a cold seed-3 verify pass fault 115k pages, not 3.1k."""
     n = np.arange(degree + 1)
-    powers = _weighted_powers(grid, alpha, n)
+    powers = np.exp(_log_weighted_powers(grid, alpha, n))
     return np.stack([np.sum(np.fft.fft(c.reshape(grid.n_r, grid.n_theta))[:, n % grid.n_theta]
                             * powers, axis=0) for c in (c1, c2)])
 
@@ -699,48 +685,62 @@ def inner_product(f: SliceSeries, g: SliceSeries, u: Quaternion, params: FockPar
     return Quaternion.from_components(np.sum(terms, axis=0))
 
 
+def _log_gram(params: FockParams, grid: Optional[PolarGrid]) -> np.ndarray:
+    """L_m = log gamma_m = log(n_theta sum_r lambda_r r^(2m)), m = 0..degree, one
+    log-sum-exp over the rings: finite wherever some lambda_r r^(2m) is."""
+    grid = _params_grid(params, grid)
+    terms = _log_weighted_powers(grid, params.alpha, 2 * np.arange(params.degree + 1))
+    top = np.max(terms, axis=0)
+    return top + np.log(grid.n_theta * np.sum(np.exp(terms - top), axis=0))
+
+
 def gram_table(params: FockParams, grid: Optional[PolarGrid] = None) -> np.ndarray:
     """Monomial Gram diagonal ||q^m||^2, m = 0..degree, measured with the grid.
 
-    A read-only (degree + 1,) array, the radial sum
-    gamma_m = n_theta sum_r lambda_r r^(2m), inf where gamma_m is past the
-    float range.  On the unit disk the entries match the incomplete-gamma
-    values gamma(m+1, alpha)/alpha^m; in plane mode they approach
-    m!/alpha^m as the truncation radius grows.  A grid, if given, must be
-    the params' grid (else ValueError).
+    A read-only (degree + 1,) array, gamma_m = exp(L_m) of ``_log_gram``, inf past
+    the float range: gamma(m+1, alpha)/alpha^m on the unit disk, approaching
+    m!/alpha^m in plane mode as the truncation radius grows.  A grid, if given,
+    must be the params' grid (else ValueError).
     """
-    grid = _params_grid(params, grid)
     with np.errstate(over="ignore"):
-        powers = _weighted_powers(grid, params.alpha, 2 * np.arange(params.degree + 1))
-        diag = grid.n_theta * np.sum(powers, axis=0)
+        diag = np.exp(_log_gram(params, grid))
     diag.flags.writeable = False
     return diag
 
 
 def _kernel_weights(params: FockParams, grid: Optional[PolarGrid], corrected: bool) -> np.ndarray:
-    """Kernel weights c_n, n = 0..degree: alpha^n / n!, or 1 / gram_n if corrected."""
+    """Ratios rho_0 = c_0, rho_n = c_n / c_(n-1) of the kernel weights c_n, n = 0..degree:
+    alpha / n, or gamma_(n-1) / gamma_n = e^(L_(n-1) - L_n) of ``_log_gram`` if
+    corrected, finite where gamma_n itself is past the float range."""
     if corrected:
-        return 1.0 / gram_table(params, grid)
-    return np.cumprod(np.r_[1.0, params.alpha / np.arange(1, params.degree + 1)])
+        return np.exp(-np.diff(_log_gram(params, grid), prepend=0.0))
+    return np.r_[1.0, params.alpha / np.arange(1, params.degree + 1)]
 
 
 def kernel_series(w: Quaternion, params: FockParams, *, corrected: bool = False) -> SliceSeries:
     """Section q -> K(q, w) of the reproducing kernel: coefficients conj(w)^n c_n.
 
     Left slice regular in q, right slice regular in w; truncated at params.degree.
-    The rows from the first underflowed weight on stay 0, so a power of w
-    that overflows is never multiplied by a zero weight into NaN.
+    With w = 2^e (x + yI), e the exponent of its largest component, and z = x + iy
+    (``quaternions._slice_coords_rows``), row n is Re + I Im of 2^(e n) c_n conj(z)^n:
+    the running product of the steps rho_n conj(z) (``_kernel_weights``; rho_0 alone
+    at n = 0), each scaled by a power of two to modulus about 1, times 2^(k_n + e n),
+    k_n the rounded sum of log2 |step|.  The scaling is exact, and a row past the
+    float range is +-inf in its nonzero components and 0 in the others, never NaN.
     """
-    weights = _kernel_weights(params, None, corrected)
-    rows = np.zeros((params.degree + 1, 4))
-    wbar = w.conjugate()
-    acc = ONE
-    for n, weight in enumerate(weights):
-        if weight == 0.0:
-            break
-        rows[n] = acc.as_array() * weight
-        acc = acc * wbar
-    return SliceSeries(rows)
+    e = int(np.frexp(np.max(np.abs(w.as_array())))[1])  # |Im w| / 2^e is finite
+    z, axis = _slice_coords_rows(np.ldexp(w.as_array(), -e)[:, None])
+    factors = np.r_[1.0, np.full(params.degree, np.conj(z[0]))]
+    steps = _kernel_weights(params, None, corrected) * factors
+    with np.errstate(divide="ignore"):
+        k = np.round(np.cumsum(np.log2(np.abs(steps))))
+    k = np.where(np.isfinite(k), k, 0.0).astype(int)  # from a zero step on every row is 0
+    d = np.diff(k, prepend=0)
+    unit = np.cumprod(np.ldexp(steps.real, -d) + np.ldexp(steps.imag, -d) * 1j)
+    coeffs = np.outer(unit.imag, axis[:, 0])
+    coeffs[:, 0] = unit.real
+    with np.errstate(over="ignore"):
+        return SliceSeries(np.ldexp(coeffs, (k + e * np.arange(len(k)))[:, None]))
 
 
 def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
@@ -770,7 +770,7 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
                          % (s.shape[0], grid.size))
     frame = slice_frame(u)
     a, b = (_moments(*to_frame(s, frame), grid, params.alpha, params.degree)
-            * _kernel_weights(params, grid, corrected))
+            * np.cumprod(_kernel_weights(params, grid, corrected)))
     return SliceSeries(from_frame(a, b, frame))
 
 

@@ -885,32 +885,116 @@ def test_kernel_series_termwise_oracle():
     assert abs(f.eval(q) - total) < 1e-13
 
 
+def _decimal_conj_powers(w: Quaternion, degree: int) -> list:
+    """conj(w)^n, n = 0..degree, as 40-digit Decimal component lists."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        b0, b1, b2, b3 = (decimal.Decimal(float(c)) for c in w.conjugate().as_array())
+        out = [[decimal.Decimal(1), decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(0)]]
+        for _ in range(degree):
+            a0, a1, a2, a3 = out[-1]
+            out.append([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
+    return out
+
+
 @pytest.mark.parametrize("domain", ["disk", "plane"])
 def test_kernel_series_corrected_rows_are_conj_powers_over_gram(domain, rng):
+    # against 40-digit conj(w)^n / gamma_n, gamma_n the float of gram_table:
+    # the running product of the weight ratios drifts about n eps from
+    # 1 / gamma_n (0.94 (n + 1) eps over 150 ball points)
     params = FockParams(domain=domain, degree=20, n_r=32, n_theta=64)
     diag = gram_table(params)
+    eps = np.finfo(float).eps
     for _ in range(5):
         w = ball_point(rng)
         rows = kernel_series(w, params, corrected=True).coeffs
-        power = ONE
-        for n in range(params.degree + 1):
-            want = power.as_array() / diag[n]
-            assert np.max(np.abs(rows[n] - want)) <= 1e-15 * np.max(np.abs(want))
-            power = power * w.conjugate()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            for n, power in enumerate(_decimal_conj_powers(w, params.degree)):
+                want = [c / decimal.Decimal(float(diag[n])) for c in power]
+                err = max(abs(decimal.Decimal(float(x)) - y) for x, y in zip(rows[n], want))
+                assert err <= decimal.Decimal(2 * (n + 1) * eps) * max(abs(y) for y in want)
 
 
-def test_kernel_series_stops_at_the_first_underflowed_weight():
-    # 1/n! underflows to 0 at n = 178 while 3^n overflows at n = 647; the
-    # rows from the first zero weight on stay 0 instead of becoming inf * 0
+def test_kernel_series_rows_are_the_exact_weights_down_to_underflow():
+    # 3^n / n! is a normal float through n = 215, subnormal from 216 and 0
+    # from 224; 3^n itself overflows at n = 647, where no row does
     params = FockParams(domain="plane", degree=700)
-    w = Quaternion.real(3.0)
-    rows = kernel_series(w, params).coeffs
-    assert np.all(np.isfinite(rows))
-    nonzero = np.flatnonzero(rows[:, 0])
-    assert nonzero[-1] < 200 and np.all(rows[nonzero[-1] + 1:] == 0.0)
-    val = kernel_series(w, params).eval(Quaternion.real(0.5))
+    rows = kernel_series(Quaternion.real(3.0), params).coeffs
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    assert np.all(rows[:, 1:] == 0.0)
+    for n in range(params.degree + 1):
+        exact = Fraction(3) ** n / math.factorial(n)
+        if float(exact) >= tiny:
+            assert abs(Fraction(float(rows[n, 0])) - exact) <= Fraction(2 * (n + 1) * eps) * exact
+        assert (rows[n, 0] == 0.0) == (float(exact) == 0.0)
+    val = kernel_series(Quaternion.real(3.0), params).eval(Quaternion.real(0.5))
     assert abs(val.x0 - math.exp(1.5)) <= 2 * math.ulp(math.exp(1.5))
     assert val.imag == Quaternion()
+
+
+def _tail_bound(n: np.ndarray, x: float) -> np.ndarray:
+    """Chernoff bound e^-x (e x / n)^n on the Gaussian tail Q(n + 1, x) of a
+    radius-R plane, x = alpha R^2, for 1 <= n < x; Q grows with n, so n = 0
+    takes the bound at n = 1."""
+    n = np.maximum(n, 1)
+    return np.exp(-x + n * (1.0 + np.log(x / n)))
+
+
+def test_kernel_series_far_from_the_origin_is_finite_or_signed_inf():
+    # w = 100i: the powers conj(w)^n overflow from n = 155 and 1/n! underflows
+    # from n = 178, but every row 100^n / n! of the exponential kernel is finite
+    eps = np.finfo(float).eps
+    w, q = Quaternion(0, 100, 0, 0), Quaternion(0.3, 0.5, 0, 0)
+    n = np.arange(201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = kernel_series(w, FockParams(degree=200))
+        for k, row in enumerate(f.coeffs):
+            exact = Fraction(100) ** k / math.factorial(k)
+            want = [(1, 0), (0, -1), (-1, 0), (0, 1)][k % 4] + (0, 0)
+            err = max(abs(Fraction(float(x)) - c * exact) for x, c in zip(row, want))
+            assert err <= Fraction(2 * (k + 1) * eps) * exact
+        got = f.eval(q).as_array()
+        kern = np.exp(complex(0.3, 0.5) * complex(0.0, -100.0))
+        assert np.linalg.norm(got - [kern.real, kern.imag, 0, 0]) <= horner_tolerance(f, q.as_array())
+
+        for radius in (6.5, 30.0):
+            params = FockParams(domain="plane", radius=radius, degree=200, n_r=128)
+            corrected = kernel_series(w, params, corrected=True)
+            assert np.all(np.isfinite(corrected.coeffs))
+        # on radius 30 the corrected weights are alpha^n / n! over P(n + 1, 900),
+        # measured with the grid: they differ by the Gaussian tail and the
+        # quadrature's rounding, 16 n_r eps (gram-oracle's bound)
+        terms = np.linalg.norm(f.coeffs, axis=1) * abs(q) ** n
+        tol = (np.sum(terms * (_tail_bound(n, 900.0) + 16 * params.n_r * eps))
+               + horner_tolerance(f, q.as_array()) + horner_tolerance(corrected, q.as_array()))
+        assert abs(corrected.eval(q) - f.eval(q)) <= tol
+
+        # on the unit disk |row n| is about 100^n e (n + 1), past the float
+        # range from n = 153: +-inf in the nonzero component, 0 in the others
+        rows = kernel_series(w, FockParams(degree=200), corrected=True).coeffs
+        assert np.all(np.isfinite(rows[:153]))
+        assert not np.any(np.isnan(rows))
+        for k in range(153, 201):
+            part = k % 2  # (-i)^k is real at even k, imaginary at odd k
+            assert rows[k, part] == (-1) ** ((k + part) // 2) * np.inf
+            assert np.all(np.delete(rows[k], part) == 0.0)
+
+        # 720^n / n! leaves the float range at n = 629 and comes back at n = 815
+        rows = kernel_series(Quaternion(0, 0, 720, 0), FockParams(degree=900)).coeffs
+        assert np.all(np.isinf(rows[629:815, 0] + rows[629:815, 2]))
+        assert np.all(np.isfinite(rows[:629])) and np.all(np.isfinite(rows[815:]))
+        exact = Fraction(720) ** 900 / math.factorial(900)
+        assert abs(Fraction(float(rows[900, 0])) - exact) <= Fraction(2 * 901 * eps) * exact
+
+        # finite components whose |Im w| overflows: row 1 is conj(w) itself
+        rows = kernel_series(Quaternion(0, 1.5e308, 1.5e308, 0), FockParams(degree=4)).coeffs
+        assert np.array_equal(rows[1], [0.0, -1.5e308, -1.5e308, 0.0])
+        assert np.array_equal(rows[2:], [[-np.inf, 0, 0, 0], [0, np.inf, np.inf, 0], [np.inf, 0, 0, 0]])
 
 
 def test_kernel_at_zero_weight():
