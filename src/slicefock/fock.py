@@ -65,6 +65,10 @@ split r as 2^e m, so the exponent n e - k_r is an exact integer and a term
 carries the rounding of n log2 m alone.  Row r holds the angular Fourier
 coefficients of 2^-k_r F (z^n aliases mod n_theta on ring r), and every
 reader puts 2^k_r back exactly (``_scale_rings`` for values on the grid).
+The nodes read T through one gemm against cos and sin of m theta_j from
+``quadrature.angle_table`` (``_angle_sums``), 2^-k_r F = C + i S: the
+stem terms read it on half the angles, and ``sample_on_grid`` as
+f = 2^k_r (C + u S), +-inf past the float range, never NaN.
 (|f|^2 e^(-alpha r^2))^(p/2) folds the Gaussian into the ring weight
 lambda_r(alpha p / 2), which carries the normalization alpha p / (2 pi), and
 every exponent reduces its ring sums of |2^-k_r f|^p the same way: ring r
@@ -77,10 +81,9 @@ ring sums serve every alpha.
     and T is real.  So every p = 2 slice norm is the same number, computed
     from the coefficients without a node value, and ``fock_norm_sup`` at
     p = 2 reports the first sample axis.
-  * p != 2: 2^-k_r F at the nodes is the conjugate of one ``np.fft.rfft`` of
-    the table (``_stem_terms``);
-  * a block of rows A + 2 u.B is one BLAS product (``np.matmul``) of the
-    axes [u | 1] against the rows (2B, A), clamped at 0 (``_slice_rows``);
+  * p != 2: a block of rows A + 2 u.B is one BLAS product (``np.matmul``)
+    of the axes [u | 1] against the rows (2B, A) of ``_stem_terms``,
+    clamped at 0 (``_slice_rows``);
   * the angular sum of |f|^p, with s = |f|^2, is one fused product-sum
     sum_theta x y at p = 4, 3, 3/2, 4/3, with (x, y) = (s, s), (s, sqrt(s)),
     (sqrt(s), sqrt(sqrt(s))) and (cbrt(s), cbrt(s)); p = 3 and 3/2 share
@@ -119,23 +122,22 @@ every slice and fills one.  p > 4, a non-finite bound, a NaN value, and a
 best norm past the float range or below the normal range (where norms the
 margin separates can round to a tie) fill every slice.
 
-The values of a slice on the grid (``sample_on_grid``) are one gemm of the
-ring table against the grid's angle table, each ring multiplied by 2^k_r:
-past the float range a value is +-inf, never NaN.  The projection splits its
-samples, and the inner product splits g, as F + G v in the frame
-(1, u, v, uv) of ``quaternions.slice_frame`` (``to_frame``/``from_frame``).
-The inner product keeps its g samples on that split and the complex Horner
-sweep (``SplitPair.eval_components``): samples from the ring table would
-hand ``_moments`` back nearly the table itself, and orthogonality and
-hermiticity would hold almost by construction, not as quadrature residuals.
+The projection splits its samples, and the inner product splits g, as
+F + G v in the frame (1, u, v, uv) of ``quaternions.slice_frame``
+(``to_frame``/``from_frame``).  The inner product keeps its g samples on
+that split and the complex Horner sweep (``SplitPair.eval_components``):
+samples from the ring table would hand ``_moments`` back nearly the table
+itself, and orthogonality and hermiticity would hold almost by
+construction, not as quadrature residuals.
 
-The row fill is the one BLAS call behind a norm: a gemm gives a row the same
-bits whatever the block size and the number of BLAS threads (``_slice_rows``;
-a test compares one and two OpenBLAS threads), and the moment bound's gemms
-only choose which rows to fill.  No reduction goes through BLAS: ``np.sum`` is
-pairwise and ``np.einsum`` without ``optimize`` a single-threaded loop in a
-fixed order, and numpy's FFT runs no threads, so equal inputs give
-bit-identical outputs whatever the thread count.
+The angle sums and the row fill are the BLAS calls behind a norm: a gemm
+gives an entry the same bits whatever the number of BLAS threads (a test
+compares one and two), a row of the fill also whatever the block size
+(``_slice_rows``), and the moment bound's gemms only choose which rows to
+fill.  No reduction goes through BLAS: ``np.sum`` is pairwise and
+``np.einsum`` without ``optimize`` a single-threaded loop in a fixed order,
+and numpy's FFT runs no threads, so equal inputs give bit-identical outputs
+whatever the thread count.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ __all__ = [
 
 
 # Largest quadrature grid, n_r * n_theta: 256 times the default 64 x 256.
-# At the cap the complex rfft of ``_stem_terms`` is 128 MB and its B terms 96 MB.
+# At the cap the half-angle sums of ``_stem_terms`` are 128 MB and its B terms 96 MB.
 _MAX_NODES = 1 << 22
 
 
@@ -194,7 +196,10 @@ class FockParams:
     2.9e-9 at degree 10, 1.3e-6 at degree 15 and 6.2e-2 at the default
     degree 32.  The exponential kernel therefore reproduces q^m there to
     1e-6 only through degree 14 (the acceptance tests use m <= 8); the
-    Gram-corrected kernel reproduces every degree on any radius.
+    Gram-corrected kernel reproduces every degree on any radius.  On a wide
+    plane 64 rings do not resolve the Gram sums at middle degrees: on radius
+    30 the corrected weights are 3.4e-6 off 1/n! at n = 50 and 6.1e-5 at
+    n = 100; 128 rings are within 1.2e-13 through n = 169.
     """
 
     alpha: float = 1.0
@@ -285,26 +290,45 @@ def _scale_rings(values: np.ndarray, k: np.ndarray) -> None:
             np.ldexp(values, np.repeat(k, n_theta), out=values)
 
 
+# Bytes of (cos m theta, sin m theta) columns per gemm of ``_angle_sums``: 1 MB.
+_ANGLE_BYTES = 1 << 20
+
+
+def _angle_sums(table: np.ndarray, grid: PolarGrid, count: int) -> np.ndarray:
+    """(C, S), shape (2, 4, n_r, count): C = sum_m T_m cos(m theta_j) and
+    S = sum_m T_m sin(m theta_j), j < count, for the ring table T.  One gemm against
+    columns gathered from ``quadrature.angle_table`` at m j mod n_theta, ``_ANGLE_BYTES``
+    at a time: O(width n_theta) per row, so on a 64 x 256 grid ``_stem_terms`` takes about
+    1 ms at degree 150 and 3 ms at 250, against 0.5 ms for an FFT at any degree."""
+    width = table.shape[-1]
+    rows = table.reshape(-1, width)
+    base = angle_table(grid.n_theta)
+    m = np.arange(width)[:, None]
+    sums = np.empty((2, len(rows), count))
+    step = max(1, _ANGLE_BYTES // (16 * width))
+    for j in range(0, count, step):
+        angles = np.arange(j, min(j + step, count))
+        np.matmul(rows, np.take(base, m * angles % grid.n_theta, axis=1),
+                  out=sums[:, :, j: j + step])
+    return sums.reshape((2,) + table.shape[:-1] + (count,))
+
+
 def _stem_terms(table: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Rows (2B1, 2B2, 2B3, A), shape (4, n), with 4^-k_r |f|^2 = A + 2 u.B at
-    the nodes of every slice u, for the ring table T of ``_ring_table``.  2^-k_r F
-    is the conjugate of the rfft of T; T is real, so A is even in theta and B odd,
-    and both are formed on the rfft's half of the angles, then mirrored.  The
-    rows live in the thread's scratch storage (``_workspace.scratch``), so they
-    hold until the next call."""
-    spec = np.fft.rfft(table, n=grid.n_theta)
-    s, v1, v2, v3 = spec.real
-    t, w1, w2, w3 = spec.imag  # F2 is (-t, -w), so B is -1 times the form below
+    """Rows (2B1, 2B2, 2B3, A), shape (4, n), with 4^-k_r |f|^2 = A + 2 u.B at the
+    nodes of every slice u, from F1 = C and F2 = S of ``_angle_sums``: A is even in
+    theta and B odd (T is real), so both are formed on angles 0..n_theta/2 and
+    mirrored.  The rows live in the thread's ``_workspace.scratch`` until the next call."""
+    count = grid.n_theta // 2 + 1
+    (s, v1, v2, v3), (t, w1, w2, w3) = _angle_sums(table, grid, count)
     basis = scratch("basis", (4, grid.n_r, grid.n_theta))
-    half = basis[..., : spec.shape[-1]]
+    half = basis[..., :count]
     half[0] = t * v1 - s * w1 + (w2 * v3 - w3 * v2)
     half[1] = t * v2 - s * w2 + (w3 * v1 - w1 * v3)
     half[2] = t * v3 - s * w3 + (w1 * v2 - w2 * v1)
-    half[:3] *= -2.0
+    half[:3] *= 2.0
     half[3] = s * s + v1 * v1 + v2 * v2 + v3 * v3 + t * t + w1 * w1 + w2 * w2 + w3 * w3
     parity = np.array([-1.0, -1.0, -1.0, 1.0])[:, None, None]
-    np.multiply(half[..., grid.n_theta - spec.shape[-1]: 0: -1], parity,
-                out=basis[..., spec.shape[-1]:])
+    np.multiply(half[..., grid.n_theta - count: 0: -1], parity, out=basis[..., count:])
     return basis.reshape(4, -1)
 
 
@@ -774,39 +798,16 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
     return SliceSeries(from_frame(a, b, frame))
 
 
-# Angular columns of ``sample_on_grid`` gathered and multiplied together: 1 MB
-# of (cos m theta, sin m theta) rows, every angle of the default grid at degree 32.
-_ANGLE_BYTES = 1 << 20
-
-
 def sample_on_grid(f: SliceSeries, u: Quaternion, grid: PolarGrid) -> np.ndarray:
-    """Values of f at the grid nodes of the slice of u, as (n, 4) components.
-
-    Read from the ring table T and the ring exponents k_r of ``_ring_table``
-    (module docstring): on ring r, with z^n aliased mod n_theta,
-
-        f(r e^(u theta)) = 2^k_r sum_m (cos(m theta) T_m + sin(m theta) u T_m).
-
-    So every value is one gemm (``np.matmul``) of the rows (T_m, u T_m) of
-    each component and ring against the angular columns (cos m theta_j,
-    sin m theta_j), gathered from ``quadrature.angle_table`` at index
-    m j mod n_theta.  Each ring is then multiplied by 2^k_r (``_scale_rings``).
-    The result is the transpose of a (4, n) array of component rows.
-    """
+    """Values of f at the grid nodes of the slice of u, as (n, 4) components:
+    2^k_r (C + u S) from the ring table and the angle sums (C, S) of
+    ``_angle_sums``, u S one product of u's left-multiplication matrix
+    against the rows of S, and 2^k_r put back by ``_scale_rings``."""
     check_unit_imaginary(u)
     table, k = _ring_table(f, grid)
-    width = table.shape[-1]
+    cos_sums, sin_sums = _angle_sums(table, grid, grid.n_theta).reshape(2, 4, -1)
     left = hamilton(u.as_array(), np.eye(4)).T  # column d is u e_d
-    rows = np.concatenate([table, np.matmul(left, table.reshape(4, -1)).reshape(table.shape)],
-                          axis=-1).reshape(-1, 2 * width)
-    base = angle_table(grid.n_theta)
-    m = np.arange(width)[:, None]
-    out = np.empty((4, grid.n_r, grid.n_theta))
-    flat = out.reshape(len(rows), grid.n_theta)
-    step = max(1, _ANGLE_BYTES // (16 * width))
-    for j in range(0, grid.n_theta, step):
-        angles = np.arange(j, min(j + step, grid.n_theta))
-        columns = np.take(base, m * angles % grid.n_theta, axis=1).reshape(2 * width, -1)
-        np.matmul(rows, columns, out=flat[:, j: j + step])
-    _scale_rings(out.reshape(4, -1), k)
-    return out.reshape(4, -1).T
+    values = np.matmul(left, sin_sums)
+    values += cos_sums
+    _scale_rings(values, k)
+    return values.T

@@ -10,7 +10,7 @@ in logs (``PolarGrid.log_ring_weights``): a weight that underflows stays a
 finite log, to be added to the log of a power that would overflow.
 
 The angles theta_k = 2 pi k / n_theta have one table, ``angle_table``, behind
-the grid's nodes and ``fock.sample_on_grid``.  Each angle is reduced by whole
+the grid's nodes and ``fock._angle_sums``.  Each angle is reduced by whole
 quarter turns in integers to |t| <= pi/4 before cos and sin, so every entry
 is within 0.51 eps of the exact circle (n_theta up to 4096); the cos and sin
 of a rounded 2 pi k / n_theta are up to 4 eps off, which z^m carries m times.

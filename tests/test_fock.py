@@ -34,11 +34,12 @@ from slicefock import (
 )
 from slicefock import _workspace, fock, series
 from slicefock.fock import slice_abs_sq, slice_norms, stem_norms
+from slicefock.quadrature import build_polar_grid
 from slicefock.quaternions import from_frame, random_unit_imaginary, slice_frame, to_frame
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
-from conftest import (DECIMAL_PI, ball_point, exact_unit_circle, horner_tolerance, make_series,
-                      node_area)
+from conftest import (DECIMAL_PI, ball_point, exact_unit_circle, exact_unit_circle_decimal,
+                      horner_tolerance, make_series, node_area)
 
 
 # -- parameter validation -------------------------------------------------------
@@ -321,7 +322,7 @@ import hashlib
 import numpy as np
 from slicefock import (FockParams, Quaternion, build_grid, fock_norm_slice, fock_norm_sup,
                        random_series, sample_on_grid)
-from slicefock.fock import _sup_norms, slice_abs_sq, stem_norms
+from slicefock.fock import _ring_table, _stem_terms, _sup_norms, slice_abs_sq, stem_norms
 from slicefock.quadrature import slice_sample
 digest = hashlib.sha256()
 axes = slice_sample(64)
@@ -341,6 +342,10 @@ for domain in ("disk", "plane"):
             digest.update(np.array([value, best]).tobytes())
         sup = fock_norm_sup(f, params, grid)
         digest.update(np.array([sup.value] + list(sup.axis.as_array())).tobytes())
+    # the angle sums behind the stem terms, once with more table columns than angles
+    for seed, degree in ((12, 3), (13, 10), (14, 32), (15, 300)):
+        table, _ = _ring_table(random_series(seed, degree), grid)
+        digest.update(_stem_terms(table, grid).tobytes())
     # the grid samples and eval_many are gemms of their own
     for seed, degree in ((5, 3), (6, 10), (7, 32)):
         f = random_series(seed, degree)
@@ -1282,6 +1287,45 @@ def test_sample_on_grid_of_a_nan_coefficient_is_nan_and_of_zero_is_zero(rng):
     coeffs[3, 2] = math.nan
     assert np.all(np.isnan(sample_on_grid(SliceSeries(coeffs), I, grid)))
     assert np.all(sample_on_grid(SliceSeries(np.zeros((6, 4))), J, grid) == 0.0)
+
+
+def _exact_angle_sums(table: np.ndarray, n_theta: int) -> np.ndarray:
+    """(C, S) of ``fock._angle_sums`` at every angle, shape (2, rows, n_theta), as
+    40-digit Decimal sums over the exact circle at index m j mod n_theta, each
+    rounded once to a float."""
+    units = exact_unit_circle_decimal(n_theta)
+    rows = table.reshape(-1, table.shape[-1])
+    out = np.empty((2, len(rows), n_theta))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact_rows = [[decimal.Decimal(float(x)) for x in row] for row in rows]
+        for j in range(n_theta):
+            for c in range(2):
+                column = [units[m * j % n_theta][c] for m in range(rows.shape[1])]
+                for i, row in enumerate(exact_rows):
+                    out[c, i, j] = float(sum(x * y for x, y in zip(row, column)))
+    return out
+
+
+@pytest.mark.parametrize("n_theta", [4, 7, 8, 100, 256])
+def test_angle_sums_match_the_exact_circle(n_theta, monkeypatch, rng):
+    # every node value is one gemm against the angle table gathered at
+    # m j mod n_theta (width n_theta and above alias).  Worst measured over
+    # three seeds: 0.23 width eps sum |T_m|.  Three angles per chunk run the
+    # chunk loop, which no default size reaches on n_theta <= 256; OpenBLAS
+    # rounds edge tiles apart, so chunk sizes agree to the bound, not the bit
+    grid = build_polar_grid(4, n_theta, 1.0)
+    eps = np.finfo(float).eps
+    for width in sorted({1, 11, 33, n_theta}):
+        table = rng.standard_normal((4, 4, width))
+        exact = _exact_angle_sums(table, n_theta).reshape(2, 4, 4, n_theta)
+        bound = (width + 1) * eps * np.sum(np.abs(table), axis=-1, keepdims=True)
+        for angle_bytes in (fock._ANGLE_BYTES, 3 * 16 * width):
+            monkeypatch.setattr(fock, "_ANGLE_BYTES", angle_bytes)
+            for count in (n_theta // 2 + 1, n_theta):
+                got = fock._angle_sums(table, grid, count)
+                assert got.shape == (2, 4, 4, count)
+                assert np.all(np.abs(got - exact[..., :count]) <= bound), (width, count)
 
 
 def test_sample_on_grid_and_eval_many_do_not_split_or_run_horner(monkeypatch, rng):
