@@ -373,17 +373,18 @@ def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
     ``u`` is one unit imaginary (result shape (n,)) or an (m, 4) array of
     them (result shape (m, n), one row per axis).  Every row comes from the
     same stem-function fill of f: 4^-k_r |f|^2 = A + 2 u.B (module
-    docstring), written into the result a block of rows at a time, so that
-    the clamp of ``_slice_rows`` reads rows still in cache, and then
-    multiplied by 4^k_r ring by ring (``_scale_rings``).
+    docstring), with the (4, n) basis rows multiplied by 4^k_r ring by ring
+    (``_scale_rings``, exact) before the fill, and written into the result a
+    block of rows at a time, so that the clamp of ``_slice_rows`` reads rows
+    still in cache.
     """
     table, k = _ring_table(f, grid)
     basis = _stem_terms(table, grid)
+    _scale_rings(basis, 2 * k)
     lifted = _axis_rows(u)
     rows = np.empty((len(lifted), grid.size))
     for i in range(0, len(lifted), _BLOCK_ROWS):
         _slice_rows(basis, lifted[i: i + _BLOCK_ROWS], rows[i:])
-    _scale_rings(rows, 2 * k)
     return rows[0] if isinstance(u, Quaternion) else rows
 
 

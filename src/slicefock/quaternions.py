@@ -5,8 +5,8 @@ multiplication rules ij = -ji = k, jk = -kj = i, ki = -ik = j.  Values are
 immutable; every operation returns a fresh ``Quaternion``, so all functions
 here are pure and safe to call concurrently.  Each slice decision has one
 rule here: ``_slice_coords_rows`` writes q = x + yI (the slice that q sits
-on), and ``slice_frame`` fixes the basis (1, u, v, uv) in which quaternion
-data on the slice of u becomes a pair of complex numbers and back.
+on), and ``slice_frame`` writes, in one closed form, the basis (1, u, v, uv)
+in which data on the slice of u becomes a pair of complex numbers and back.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ __all__ = [
 # to squares that underflowed, 2^-105 of itself; _slice_coords_rows rescales v
 # where v.v is smaller or overflowed.
 _NORM_SQ_MIN = 2.0 ** -968
-
-# orthogonal_unit normalizes the residual of j against u, whose norm
-# sqrt(1 - u_y^2) divides its rounding error; above |u_y| = 1 - gap it uses k,
-# whose residual has norm sqrt(1 - u_z^2) >= |u_y|.  Gap 0.5 keeps both norms
-# >= 0.5, so u.v is a few ulps for every axis (a tiny gap gives eps/sqrt(gap)).
-_FALLBACK_GAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -269,33 +263,34 @@ def check_unit_imaginary(u) -> None:
 def orthogonal_unit(u: Quaternion) -> Quaternion:
     """Deterministic unit imaginary orthogonal to u (so the two anticommute).
 
-    Gram-Schmidt of the fixed direction j against u, falling back to k when
-    u is too close to +/-j for the projection to be well conditioned.  The
-    choice is branch-stable: orthogonal_unit(i) == j and
-    orthogonal_unit(j) == k exactly.
+    Row v of ``slice_frame(u / |Im u|)``: orthogonal_unit(i) == j,
+    orthogonal_unit(j) == -i and orthogonal_unit(k) == j exactly.  Raises
+    ValueError on a real or non-finite u.
     """
-    v = u.imag_vector
-    n = np.linalg.norm(v)
+    n = math.hypot(u.x1, u.x2, u.x3)
     if n == 0.0:
         raise ValueError("orthogonal_unit needs an imaginary direction, got a real value")
-    v = v / n
-    ref = np.array([0.0, 1.0, 0.0])
-    if abs(v[1]) > 1.0 - _FALLBACK_GAP:
-        ref = np.array([0.0, 0.0, 1.0])
-    w = ref - np.dot(ref, v) * v
-    w = w / np.linalg.norm(w)
-    return Quaternion(0.0, w[0], w[1], w[2])
+    return Quaternion.from_components(slice_frame(u.imag / n)[2])
 
 
 def slice_frame(u: Quaternion) -> np.ndarray:
     """Orthonormal slice basis of u: a (4, 4) array with rows 1, u, v, uv.
 
-    v = orthogonal_unit(u); a = (c1.re + c1.im u) + (c2.re + c2.im u) v
-    gives the complex coordinates (c1, c2) of to_frame and from_frame.
+    Duff et al.'s branchless basis (JCGT 6(1), 2017) with the axes cycled:
+    for u = (0, x, y, z), s = copysign(1, x), a = -1/(s + x) and b = y z a,
+    v = (0, -s y, 1 + s y^2 a, s b) and uv = (0, -z, b, s + z^2 a), so the
+    frames of +-i, +-j and +-k have entries in {0, +-1} and slice_frame(i) is
+    the identity.  q = (c1.re + c1.im u) + (c2.re + c2.im u) v gives the
+    complex coordinates (c1, c2) of to_frame and from_frame.
     """
     check_unit_imaginary(u)
-    v = orthogonal_unit(u)
-    frame = np.stack([ONE.as_array(), u.as_array(), v.as_array(), (u * v).as_array()])
+    x, y, z = u.x1, u.x2, u.x3
+    s = math.copysign(1.0, x)
+    a = -1.0 / (s + x)
+    b = y * z * a
+    frame = np.array([ONE.as_array(), u.as_array(),
+                      [0.0, -s * y, 1.0 + s * y * y * a, s * b],
+                      [0.0, -z, b, s + z * z * a]])
     frame.flags.writeable = False
     return frame
 

@@ -181,7 +181,7 @@ def test_slice_coords_infinite_imaginary_part(q, axis):
 
 def test_orthogonal_unit_canonical_choices():
     assert orthogonal_unit(I) == J
-    assert orthogonal_unit(J) == K
+    assert orthogonal_unit(J) == -I
     assert orthogonal_unit(K) == J
     u = Quaternion(0, 1, 1, 0) / math.sqrt(2.0)
     v = orthogonal_unit(u)
@@ -189,14 +189,33 @@ def test_orthogonal_unit_canonical_choices():
     assert abs(v) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_orthogonal_unit_near_reference_falls_back():
-    u = Quaternion(0, 1e-12, 1.0, 0)
-    v = orthogonal_unit(u / abs(u))
-    assert v == K
+def test_slice_frame_orthonormal_near_every_pole(rng):
+    # random axes, then axes within 1e-16 to 1e-1 of +-i, +-j and +-k
+    axes = [random_unit_imaginary(rng) for _ in range(500)]
+    for pole in np.vstack([np.eye(3), -np.eye(3)]):
+        for gap in 10.0 ** np.arange(-16, 0):
+            for _ in range(8):
+                w = pole + gap * rng.standard_normal(3)
+                axes.append(Quaternion(0.0, *(w / np.linalg.norm(w))))
+    eps = np.finfo(float).eps
+    for u in axes:
+        frame = slice_frame(u)
+        assert np.abs(frame @ frame.T - np.eye(4)).max() <= 4 * eps
+        uv = u * Quaternion.from_components(frame[2])
+        assert np.abs(uv.as_array() - frame[3]).max() <= 4 * eps
+    for u in (I, J, K, -I, -J, -K):
+        assert set(np.abs(slice_frame(u)).ravel()) <= {0.0, 1.0}
+
+
+def test_orthogonal_unit_rejects_non_finite_axes():
+    for bad in (Quaternion(0, math.nan, 0, 0), Quaternion(0, math.inf, 0, 0),
+                Quaternion(0, 1, -math.inf, 0), Quaternion(0, math.inf, math.nan, 0)):
+        with pytest.raises(ValueError):
+            orthogonal_unit(bad)
 
 
 def test_orthogonal_unit_well_conditioned_near_j():
-    # axes within 1e-3 of +/-j, where Gram-Schmidt of j against u cancels
+    # axes within 1e-3 of +/-j
     rng = np.random.default_rng(7)
     for sign in (1.0, -1.0):
         for _ in range(500):
@@ -262,8 +281,8 @@ def test_slice_frame_rows_and_validation():
     u = random_unit_imaginary(np.random.default_rng(3))
     frame = slice_frame(u)
     v = orthogonal_unit(u)
-    assert np.array_equal(frame, np.stack([ONE.as_array(), u.as_array(), v.as_array(),
-                                           (u * v).as_array()]))
+    assert np.array_equal(frame[:3], np.stack([ONE.as_array(), u.as_array(), v.as_array()]))
+    assert np.abs(frame[3] - (u * v).as_array()).max() <= 4 * np.finfo(float).eps
     assert np.abs(frame @ frame.T - np.eye(4)).max() <= 1e-15
     for bad in (Quaternion(0, 2, 0, 0), Quaternion(0.5, 0, 0, 1), Quaternion()):
         with pytest.raises(ValueError, match="unit imaginary"):
