@@ -245,10 +245,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except SeriesFormatError as exc:
+    except (UsageError, SeriesFormatError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -358,13 +358,11 @@ def _axis_rows(u) -> np.ndarray:
     """Rows [u1, u2, u3, 1], shape (m, 4), of slice axes checked in one pass.
 
     ``u`` is one unit imaginary or an (..., 4) array of their components,
-    such as the slice sample of ``quadrature.slice_sample``.
+    such as the slice sample of ``quadrature.slice_sample``; the rows are
+    read from the components ``check_unit_imaginary`` returns.
     """
-    comps = np.reshape(u.as_array() if isinstance(u, Quaternion) else u, (-1, 4))
-    check_unit_imaginary(comps)
-    lifted = np.ones(comps.shape)
-    lifted[:, :3] = comps[:, 1:]
-    return lifted
+    comps = check_unit_imaginary(u).reshape(-1, 4)
+    return np.column_stack([comps[:, 1:], np.ones(len(comps))])
 
 
 def slice_abs_sq(f: SliceSeries, u, grid: PolarGrid) -> np.ndarray:
@@ -804,10 +802,9 @@ def sample_on_grid(f: SliceSeries, u: Quaternion, grid: PolarGrid) -> np.ndarray
     2^k_r (C + u S) from the ring table and the angle sums (C, S) of
     ``_angle_sums``, u S one product of u's left-multiplication matrix
     against the rows of S, and 2^k_r put back by ``_scale_rings``."""
-    check_unit_imaginary(u)
+    left = hamilton(check_unit_imaginary(u), np.eye(4)).T  # column d is u e_d
     table, k = _ring_table(f, grid)
     cos_sums, sin_sums = _angle_sums(table, grid, grid.n_theta).reshape(2, 4, -1)
-    left = hamilton(u.as_array(), np.eye(4)).T  # column d is u e_d
     values = np.matmul(left, sin_sums)
     values += cos_sums
     _scale_rings(values, k)

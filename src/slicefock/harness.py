@@ -118,10 +118,8 @@ def write_reports(results: Sequence[CheckResult], out_base: str) -> tuple[str, s
     for suffix in (".json", ".csv"):
         if base.endswith(suffix):
             base = base[: -len(suffix)]
-    json_path = base + ".json"
-    csv_path = base + ".csv"
-    with open(json_path, "w") as fh:
-        fh.write(render_json(results))
-    with open(csv_path, "w") as fh:
-        fh.write(render_csv(results))
-    return json_path, csv_path
+    paths = (base + ".json", base + ".csv")
+    for path, render in zip(paths, (render_json, render_csv)):
+        with open(path, "w") as fh:
+            fh.write(render(results))
+    return paths

@@ -5,8 +5,10 @@ multiplication rules ij = -ji = k, jk = -kj = i, ki = -ik = j.  Values are
 immutable; every operation returns a fresh ``Quaternion``, so all functions
 here are pure and safe to call concurrently.  Each slice decision has one
 rule here: ``_slice_coords_rows`` writes q = x + yI (the slice that q sits
-on), and ``slice_frame`` writes, in one closed form, the basis (1, u, v, uv)
-in which data on the slice of u becomes a pair of complex numbers and back.
+on), ``check_unit_imaginary`` admits a slice axis u within 8 eps and returns
+the components its readers use, and ``slice_frame`` writes, in one closed
+form, the basis (1, u, v, uv) in which data on the slice of u becomes a pair
+of complex numbers and back.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ __all__ = [
 # to squares that underflowed, 2^-105 of itself; _slice_coords_rows rescales v
 # where v.v is smaller or overflowed.
 _NORM_SQ_MIN = 2.0 ** -968
+
+# Largest |Re u| and |u.u - 1| of a slice axis: every axis the library builds
+# is within 3 eps of unit, and a frame on an axis 1e-9 off splits with 1e7 eps error.
+_AXIS_SLACK = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -248,16 +254,17 @@ def slice_coords(q: Quaternion) -> SliceCoords:
     return SliceCoords(q.x0, float(z.imag[0]), Quaternion.from_components(axis[:, 0]))
 
 
-def check_unit_imaginary(u) -> None:
-    """Raise unless u is a unit imaginary quaternion, i.e. a slice axis.
-
-    ``u`` may also be an (..., 4) component array, checked row by row in
-    one vectorized pass.  The comparisons are written so that NaN fails them.
+def check_unit_imaginary(u) -> np.ndarray:
+    """Float components of the slice axis u: shape (4,) for a Quaternion, the
+    input's own shape for an (..., 4) array, checked row by row in one pass.
+    Raises ValueError unless |Re u| and |u.u - 1| are within ``_AXIS_SLACK``;
+    the comparisons are written so that NaN fails them.
     """
     c = np.asarray(u.as_array() if isinstance(u, Quaternion) else u, dtype=float)
-    if not (np.all(np.abs(c[..., 0]) <= 1e-9)
-            and np.all(np.abs(np.sum(c * c, axis=-1) - 1.0) <= 1e-9)):
+    if not (np.all(np.abs(c[..., 0]) <= _AXIS_SLACK)
+            and np.all(np.abs(np.sum(c * c, axis=-1) - 1.0) <= _AXIS_SLACK)):
         raise ValueError("slice axis must be a unit imaginary quaternion")
+    return c
 
 
 def orthogonal_unit(u: Quaternion) -> Quaternion:
@@ -283,12 +290,12 @@ def slice_frame(u: Quaternion) -> np.ndarray:
     the identity.  q = (c1.re + c1.im u) + (c2.re + c2.im u) v gives the
     complex coordinates (c1, c2) of to_frame and from_frame.
     """
-    check_unit_imaginary(u)
-    x, y, z = u.x1, u.x2, u.x3
+    c = check_unit_imaginary(u)
+    x, y, z = c[1:].tolist()
     s = math.copysign(1.0, x)
     a = -1.0 / (s + x)
     b = y * z * a
-    frame = np.array([ONE.as_array(), u.as_array(),
+    frame = np.array([ONE.as_array(), c,
                       [0.0, -s * y, 1.0 + s * y * y * a, s * b],
                       [0.0, -z, b, s + z * z * a]])
     frame.flags.writeable = False

@@ -385,12 +385,11 @@ class SplitPair:
     def extend_many(self, points: np.ndarray) -> np.ndarray:
         """Slice-regular extension at an (M, 4) array of points; returns (M, 4).
 
-        Writes each q = x + yI (``quaternions._slice_coords_rows``), evaluates
-        the slice function at z = x + yu and its mirror x - yu, and averages
-        the two with the projection factors (1 -+ Iu)/2.  On the slice of u
-        this reduces to plain evaluation; elsewhere it reproduces the unique
-        slice-regular series through the slice values.  The axes, slice
-        values and products are (4, M) component rows.
+        Writes each q = x + yI (``quaternions._slice_coords_rows``), takes the
+        slice function at z = x + yu and x - yu in one Horner sweep and frame
+        map of the stacked points (z, conj z), and averages the two with the
+        factors (1 -+ Iu)/2: plain evaluation on the slice of u, elsewhere the
+        one slice-regular series through the slice values.  Rows are (4, M).
 
         As in ``SliceSeries.eval_many``, a point with a NaN or infinite
         component gets NaN in every component once the degree is at least 1,
@@ -401,8 +400,8 @@ class SplitPair:
         iq_u = _hamilton_rows(iq, self.frame[1], np.empty_like(iq))
         one = ONE.as_array()[:, None]
         with np.errstate(invalid="ignore"):
-            fz = _frame_rows(*self.eval_components(z), self.frame)
-            fzbar = _frame_rows(*self.eval_components(z.conjugate()), self.frame)
+            stacked = self.eval_components(np.concatenate([z, z.conjugate()]))
+            fz, fzbar = np.split(_frame_rows(*stacked, self.frame), 2, axis=1)
             mean = 0.5 * (_hamilton_rows(one - iq_u, fz, np.empty_like(iq))
                           + _hamilton_rows(one + iq_u, fzbar, np.empty_like(iq)))
         return np.ascontiguousarray(mean.T)

@@ -182,7 +182,8 @@ def test_stacked_fill_matches_split_fill(domain, rng):
 def test_fill_rejects_non_unit_axis(rng):
     grid = build_grid(FockParams(n_r=8, n_theta=8))
     f = make_series(rng, 2)
-    for bad in (Quaternion(0, 2, 0, 0), Quaternion(1, 0, 0, 0)):
+    scaled = random_unit_imaginary(rng) * (1 + 4e-10)  # u.u is 3.6e6 eps off 1
+    for bad in (Quaternion(0, 2, 0, 0), Quaternion(1, 0, 0, 0), scaled):
         pair = np.array([I.as_array(), bad.as_array()])
         with pytest.raises(ValueError, match="unit imaginary"):
             slice_abs_sq(f, bad, grid)
@@ -190,6 +191,10 @@ def test_fill_rejects_non_unit_axis(rng):
             slice_abs_sq(f, pair, grid)
         with pytest.raises(ValueError, match="unit imaginary"):
             stem_norms(f, pair, grid, [(2.0, 1.0)])
+        with pytest.raises(ValueError, match="unit imaginary"):
+            f.split(bad)
+        with pytest.raises(ValueError, match="unit imaginary"):
+            sample_on_grid(f, bad, grid)
 
 
 @pytest.mark.parametrize("bad", [Quaternion(math.nan, 1, 0, 0), Quaternion(0, math.nan, 0, 0),

@@ -16,7 +16,10 @@ from slicefock import (
     orthogonal_unit,
     slice_coords,
 )
+from slicefock.quadrature import slice_sample
 from slicefock.quaternions import (
+    _slice_coords_rows,
+    check_unit_imaginary,
     from_frame,
     hamilton,
     random_unit_imaginary,
@@ -284,9 +287,27 @@ def test_slice_frame_rows_and_validation():
     assert np.array_equal(frame[:3], np.stack([ONE.as_array(), u.as_array(), v.as_array()]))
     assert np.abs(frame[3] - (u * v).as_array()).max() <= 4 * np.finfo(float).eps
     assert np.abs(frame @ frame.T - np.eye(4)).max() <= 1e-15
-    for bad in (Quaternion(0, 2, 0, 0), Quaternion(0.5, 0, 0, 1), Quaternion()):
+    # a frame on the axis scaled by 1 + 4e-10 would be 8e-10 off orthonormal
+    for bad in (Quaternion(0, 2, 0, 0), Quaternion(0.5, 0, 0, 1), Quaternion(), u * (1 + 4e-10)):
         with pytest.raises(ValueError, match="unit imaginary"):
             slice_frame(bad)
+
+
+def test_unit_imaginary_intake_admits_every_library_axis(rng):
+    # every axis the library builds, each source within 3 eps of unit, passes
+    # the 8 eps slack; the intake hands back the components it checked
+    sources = [slice_sample(n) for n in (8, 64, 100, 1000, 10 ** 4)]
+    sources.append(np.stack([random_unit_imaginary(rng).as_array() for _ in range(20_000)]))
+    points = rng.standard_normal((4, 200_000)) * 10.0 ** rng.uniform(-300.0, 300.0, 200_000)
+    sources.append(_slice_coords_rows(points)[1].T)
+    sources.append(np.stack([orthogonal_unit(Quaternion(*rng.standard_normal(4))).as_array()
+                             for _ in range(5000)]))
+    frames = np.stack([slice_frame(random_unit_imaginary(rng)) for _ in range(5000)])
+    sources += [frames[:, 2], frames[:, 3]]
+    for axes in sources:
+        assert_bit_identical(check_unit_imaginary(axes), axes)
+        for comps in axes[:: max(1, len(axes) // 50)]:
+            assert_bit_identical(check_unit_imaginary(Quaternion.from_components(comps)), comps)
 
 
 def test_frame_vectorized_roundtrip(rng):

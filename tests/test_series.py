@@ -545,6 +545,15 @@ def test_eval_and_extend_many_bit_identical_to_stack_formula(degree, m, rng):
             assert_within_horner_bound(g, got[::step], np.reshape(scalar, (-1, 4)), x[::step])
 
 
+def test_extend_many_takes_z_and_its_mirror_in_one_sweep(monkeypatch, rng):
+    pair = make_series(rng, 6).split(random_unit_imaginary(rng))
+    sweep, sizes = series.SplitPair.eval_components, []
+    monkeypatch.setattr(series.SplitPair, "eval_components",
+                        lambda self, z: sizes.append(np.size(z)) or sweep(self, z))
+    pair.extend_many(rng.standard_normal((7, 4)))
+    assert sizes == [14]
+
+
 def horner_loop(pair, z):
     """eval_components as the allocating loop f = f * z + c of each complex series."""
     z = np.asarray(z, dtype=complex)
