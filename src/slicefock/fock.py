@@ -355,12 +355,8 @@ def _slice_rows(basis: np.ndarray, lifted: np.ndarray, out: np.ndarray) -> np.nd
 
 
 def _axis_rows(u) -> np.ndarray:
-    """Rows [u1, u2, u3, 1], shape (m, 4), of slice axes checked in one pass.
-
-    ``u`` is one unit imaginary or an (..., 4) array of their components,
-    such as the slice sample of ``quadrature.slice_sample``; the rows are
-    read from the components ``check_unit_imaginary`` returns.
-    """
+    """Rows [u1, u2, u3, 1], shape (m, 4), of the slice axes u (one, or an (..., 4)
+    array such as ``quadrature.slice_sample``), checked by ``check_unit_imaginary``."""
     comps = check_unit_imaginary(u).reshape(-1, 4)
     return np.column_stack([comps[:, 1:], np.ones(len(comps))])
 
@@ -447,14 +443,17 @@ def _fill_rings(rings: dict, basis: np.ndarray, lifted: np.ndarray, index: np.nd
         _ring_rows(rings, block, _slice_rows(basis, lifted[block], fill), grid)
 
 
-def _ring_weights(grid: PolarGrid, pair, k):
-    """(e^(l_r - t), t, K): ring r weighs lambda_r(alpha p / 2) 2^(p (k_r - K)) = e^(l_r),
-    with k_r the ring exponents of ``_ring_table``, K the largest and t the largest l_r."""
-    p, alpha = pair
+def _ring_weights(grid: PolarGrid, pairs, k) -> dict:
+    """{pair: (e^(l_r - t), t, K)} for every (p, alpha) pair: ring r weighs
+    lambda_r(alpha p / 2) 2^(p (k_r - K)) = e^(l_r), with k_r the ring exponents of
+    ``_ring_table``, K the largest and t the largest l_r.  A sweep takes them once."""
     big = int(np.max(k))
-    logs = grid.log_ring_weights(0.5 * alpha * p) + p * (k - big) * math.log(2.0)
-    top = np.max(logs)
-    return np.exp(logs - top), top, big
+    weights = {}
+    for p, alpha in pairs:
+        logs = grid.log_ring_weights(0.5 * alpha * p) + p * (k - big) * math.log(2.0)
+        top = np.max(logs)
+        weights[p, alpha] = np.exp(logs - top), top, big
+    return weights
 
 
 def _root(total, p: float, weights):
@@ -463,15 +462,12 @@ def _root(total, p: float, weights):
     return np.ldexp(total ** (1.0 / p) * np.exp(top / p), big)
 
 
-def _weighted_norms(rings: dict, grid: PolarGrid, pairs, k) -> dict:
-    """Norms from the ring sums of |2^-k_r f|^p: with the weights (w_r, t, K) of
-    ``_ring_weights`` the norm is (sum_r ring_r w_r)^(1/p) e^(t/p) 2^K, a
-    log-sum-exp over rings."""
-    out = {}
-    for pair in pairs:
-        weights = _ring_weights(grid, pair, k)
-        out[pair] = _root(np.sum(rings[pair[0]] * weights[0], axis=-1), pair[0], weights)
-    return out
+def _weighted_norms(rings: dict, weights: dict) -> dict:
+    """Norms from the ring sums of |2^-k_r f|^p for every pair of ``weights``, the
+    dict of ``_ring_weights``: with (w_r, t, K) the norm is
+    (sum_r ring_r w_r)^(1/p) e^(t/p) 2^K, a log-sum-exp over rings."""
+    return {pair: _root(np.sum(rings[pair[0]] * w[0], axis=-1), pair[0], w)
+            for pair, w in weights.items()}
 
 
 def _exponents(pairs) -> list:
@@ -493,7 +489,7 @@ def slice_norms(abs_sq: np.ndarray, grid: PolarGrid, pairs) -> dict:
     for i in range(0, len(flat), _BLOCK_ROWS):
         _ring_rows(rings, slice(i, i + _BLOCK_ROWS), flat[i: i + _BLOCK_ROWS], grid)
     rings = {p: r.reshape(lead + (grid.n_r,)) for p, r in rings.items()}
-    return _weighted_norms(rings, grid, pairs, np.zeros(grid.n_r, dtype=int))
+    return _weighted_norms(rings, _ring_weights(grid, pairs, np.zeros(grid.n_r, dtype=int)))
 
 
 def _stem_rings(f: SliceSeries, grid: PolarGrid, ps, n_axes: int):
@@ -524,7 +520,7 @@ def stem_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
     swept = {p: r for p, r in rings.items() if p != 2.0}
     if swept:
         _fill_rings(swept, _stem_terms(table, grid), lifted, np.arange(len(lifted)), grid)
-    return _weighted_norms(rings, grid, pairs, k)
+    return _weighted_norms(rings, _ring_weights(grid, pairs, k))
 
 
 # Sectors of consecutive angles per ring behind the moment bound of
@@ -573,7 +569,7 @@ def _fill_open_axes(rings: dict, basis: np.ndarray, lifted: np.ndarray, grid: Po
                     weights: dict) -> None:
     """Fill the ring sums of the axes that the moment bound cannot rule out, a
     block of ``_BLOCK_ROWS`` at a time in decreasing order of the bound, for
-    ``weights`` {swept pair: ``_ring_weights`` (w_r, t, K)}; the stop rule is the
+    ``weights``, the ``_ring_weights`` of the swept pairs; the stop rule is the
     module docstring's.  An axis left out keeps ring sums of 0, below the best
     norm.  Where the best norm is past the float range or below the normal
     range, norms that the margin separates can round to a tie, so every axis is
@@ -615,17 +611,18 @@ def _sup_norms(f: SliceSeries, axes, grid: PolarGrid, pairs) -> dict:
     those of ``np.max``/``np.argmax`` over ``stem_norms``.
 
     Only the axes that ``_fill_open_axes`` cannot rule out are filled, and the
-    norms are weighed as ``stem_norms`` weighs them, on arrays of every axis.
-    p = 2 fills nothing.
+    norms are weighed, with the weights the stop rule read, as ``stem_norms``
+    weighs them, on arrays of every axis.  p = 2 fills nothing.
     """
     lifted = _axis_rows(axes)
     table, k, rings = _stem_rings(f, grid, _exponents(pairs), len(lifted))
-    swept = [pair for pair in pairs if pair[0] != 2.0]
+    weights = _ring_weights(grid, pairs, k)
+    swept = {pair: w for pair, w in weights.items() if pair[0] != 2.0}
     if swept:
         _fill_open_axes({p: rings[p] for p in _exponents(swept)}, _stem_terms(table, grid),
-                        lifted, grid, {pair: _ring_weights(grid, pair, k) for pair in swept})
+                        lifted, grid, swept)
     out = {}
-    for pair, norms in _weighted_norms(rings, grid, pairs, k).items():
+    for pair, norms in _weighted_norms(rings, weights).items():
         top = int(np.argmax(norms))
         out[pair] = (float(norms[top]), top)
     return out
@@ -638,12 +635,12 @@ def fock_norm_slice(f: SliceSeries, u: Quaternion, params: FockParams,
         ((alpha p / 2 pi) * integral |f(z) e^(-alpha |z|^2 / 2)|^p dA)^(1/p)
 
     with the integral over the unit disk or the radius-R disk of the slice.
-    It is ``stem_norms`` on one axis, so it matches ``fock_norm_sup`` bit for bit.
-    A grid, if given, must be the params' grid (else ValueError).
+    It is ``stem_norms`` on row 1 of ``slice_frame(u)``, so it matches
+    ``fock_norm_sup`` bit for bit.  A grid, if given, must be the params' grid (else ValueError).
     """
     grid = _params_grid(params, grid)
     pair = (params.p, params.alpha)
-    return float(stem_norms(f, u, grid, [pair])[pair][0])
+    return float(stem_norms(f, slice_frame(u)[1], grid, [pair])[pair][0])
 
 
 class SupNorm(NamedTuple):
@@ -799,10 +796,10 @@ def projection_series(samples: np.ndarray, u: Quaternion, params: FockParams,
 
 def sample_on_grid(f: SliceSeries, u: Quaternion, grid: PolarGrid) -> np.ndarray:
     """Values of f at the grid nodes of the slice of u, as (n, 4) components:
-    2^k_r (C + u S) from the ring table and the angle sums (C, S) of
-    ``_angle_sums``, u S one product of u's left-multiplication matrix
-    against the rows of S, and 2^k_r put back by ``_scale_rings``."""
-    left = hamilton(check_unit_imaginary(u), np.eye(4)).T  # column d is u e_d
+    2^k_r (C + u S) from the ring table and the angle sums (C, S) of ``_angle_sums``,
+    u S one product of the left-multiplication matrix of u (row 1 of its
+    ``slice_frame``) against the rows of S, and 2^k_r put back by ``_scale_rings``."""
+    left = hamilton(slice_frame(u)[1], np.eye(4)).T  # column d is u e_d
     table, k = _ring_table(f, grid)
     cos_sums, sin_sums = _angle_sums(table, grid, grid.n_theta).reshape(2, 4, -1)
     values = np.matmul(left, sin_sums)

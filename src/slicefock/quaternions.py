@@ -3,11 +3,11 @@
 Components are (x0, x1, x2, x3) over the basis (1, i, j, k) with the
 multiplication rules ij = -ji = k, jk = -kj = i, ki = -ik = j.  Values are
 immutable; every operation returns a fresh ``Quaternion``, so all functions
-here are pure and safe to call concurrently.  Each slice decision has one
-rule here: ``_slice_coords_rows`` writes q = x + yI (the slice that q sits
-on), ``check_unit_imaginary`` admits a slice axis u within 8 eps and returns
-the components its readers use, and ``slice_frame`` writes, in one closed
-form, the basis (1, u, v, uv) in which data on the slice of u becomes a pair
+here are pure and safe to call concurrently.  Each rule has one copy here:
+``_components`` reads every (..., 4) quaternion array, ``_slice_coords_rows``
+writes q = x + yI (the slice that q sits on), ``check_unit_imaginary`` admits
+slice axes within 8 eps, and ``slice_frame``, the one single-axis reader,
+writes the basis (1, u, v, uv) in which data on the slice of u becomes a pair
 of complex numbers and back.
 """
 
@@ -254,13 +254,22 @@ def slice_coords(q: Quaternion) -> SliceCoords:
     return SliceCoords(q.x0, float(z.imag[0]), Quaternion.from_components(axis[:, 0]))
 
 
+def _components(x) -> np.ndarray:
+    """Float components of a Quaternion, shape (4,), or of an (..., 4) array (the
+    array itself if float64): the one shape rule for quaternion arrays."""
+    c = np.asarray(x.as_array() if isinstance(x, Quaternion) else x, dtype=float)
+    if c.shape[-1:] != (4,):
+        raise ValueError("quaternions must form an (..., 4) array, got shape %s" % (c.shape,))
+    return c
+
+
 def check_unit_imaginary(u) -> np.ndarray:
-    """Float components of the slice axis u: shape (4,) for a Quaternion, the
-    input's own shape for an (..., 4) array, checked row by row in one pass.
-    Raises ValueError unless |Re u| and |u.u - 1| are within ``_AXIS_SLACK``;
-    the comparisons are written so that NaN fails them.
+    """Float components of the slice axes u, read by ``_components`` (a Quaternion
+    or an (..., 4) array), checked row by row in one pass.  Raises ValueError
+    unless |Re u| and |u.u - 1| are within ``_AXIS_SLACK``; the comparisons are
+    written so that NaN fails them.
     """
-    c = np.asarray(u.as_array() if isinstance(u, Quaternion) else u, dtype=float)
+    c = _components(u)
     if not (np.all(np.abs(c[..., 0]) <= _AXIS_SLACK)
             and np.all(np.abs(np.sum(c * c, axis=-1) - 1.0) <= _AXIS_SLACK)):
         raise ValueError("slice axis must be a unit imaginary quaternion")
@@ -281,9 +290,11 @@ def orthogonal_unit(u: Quaternion) -> Quaternion:
 
 
 def slice_frame(u: Quaternion) -> np.ndarray:
-    """Orthonormal slice basis of u: a (4, 4) array with rows 1, u, v, uv.
+    """Orthonormal slice basis of one axis u: a (4, 4) array with rows 1, u, v, uv.
 
-    Duff et al.'s branchless basis (JCGT 6(1), 2017) with the axes cycled:
+    u is one axis that ``check_unit_imaginary`` admits, shape (4,), and row 1
+    is its checked components; anything else raises ValueError.  Duff et al.'s
+    branchless basis (JCGT 6(1), 2017) with the axes cycled:
     for u = (0, x, y, z), s = copysign(1, x), a = -1/(s + x) and b = y z a,
     v = (0, -s y, 1 + s y^2 a, s b) and uv = (0, -z, b, s + z^2 a), so the
     frames of +-i, +-j and +-k have entries in {0, +-1} and slice_frame(i) is
@@ -291,6 +302,8 @@ def slice_frame(u: Quaternion) -> np.ndarray:
     complex coordinates (c1, c2) of to_frame and from_frame.
     """
     c = check_unit_imaginary(u)
+    if c.shape != (4,):
+        raise ValueError("a slice frame takes one axis, got an array of shape %s" % (c.shape,))
     x, y, z = c[1:].tolist()
     s = math.copysign(1.0, x)
     a = -1.0 / (s + x)
@@ -304,10 +317,7 @@ def slice_frame(u: Quaternion) -> np.ndarray:
 
 def to_frame(comps: np.ndarray, frame: np.ndarray):
     """Complex coordinates (c1, c2) of (..., 4) components in a slice frame."""
-    c = np.asarray(comps, dtype=float)
-    if c.shape[-1:] != (4,):
-        raise ValueError("components must form an (..., 4) array")
-    c0, c1, c2, c3 = _components(c)
+    c0, c1, c2, c3 = _component_rows(_components(comps))
     col = frame[1:].reshape((3, 4) + (1,) * c0.ndim)
     # one chain per frame row u, v, uv, summed in place; it starts from +0.0,
     # as np.sum over the component axis does
@@ -378,17 +388,14 @@ def _hamilton_rows(a, b, out):
     return out
 
 
-def _components(x: np.ndarray) -> tuple:
+def _component_rows(x: np.ndarray) -> tuple:
     """The four component rows of an (..., 4) array, as views (0-d for one quaternion)."""
     return x[..., 0], x[..., 1], x[..., 2], x[..., 3]
 
 
 def hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product broadcast over leading axes of (..., 4) arrays."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
-        raise ValueError("hamilton operands must be (..., 4) arrays, got shapes %s and %s"
-                         % (a.shape, b.shape))
-    out = np.empty(np.broadcast(a, b).shape[:-1] + (4,), dtype=np.result_type(a, b))
-    _hamilton_rows(_components(a), _components(b), _components(out))
+    """Hamilton product, a float array, broadcast over leading axes of (..., 4) arrays."""
+    a, b = _components(a), _components(b)
+    out = np.empty(np.broadcast(a, b).shape[:-1] + (4,))
+    _hamilton_rows(_component_rows(a), _component_rows(b), _component_rows(out))
     return out

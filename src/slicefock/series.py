@@ -35,6 +35,7 @@ import numpy as np
 from .quaternions import (
     ONE,
     Quaternion,
+    _components,
     _frame_rows,
     _hamilton_rows,
     _slice_coords_rows,
@@ -233,12 +234,11 @@ class SliceSeries:
         coefficients are left out of the table, and a point whose value from
         the table is not finite (a NaN or infinite point, or a power past
         the float range) takes F1 + i F2 from the complex Horner sweep
-        ``_horner`` on the four coefficient columns instead, then the same
-        Hamilton product: the table never turns a finite value into NaN.
+        ``_horner`` on the four coefficient columns instead, in the block
+        that found it, with the block's z and I, then the same Hamilton
+        product: the table never turns a finite value into NaN.
         """
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[-1:] != (4,):
-            raise ValueError("points must form an (..., 4) component array")
+        pts = _components(points)
         if self.degree == 0:
             return np.broadcast_to(self.coeffs[0], pts.shape).copy()
         flat = pts.reshape(-1, 4)
@@ -248,7 +248,6 @@ class SliceSeries:
         table = np.empty((h + 1, min(block, len(flat))), dtype=complex)
         parts = np.empty((8, table.shape[1]), dtype=complex)
         rows = np.empty((4, len(flat)))
-        far = []
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(flat), block):
                 z, axis = _slice_coords_rows(flat[start: start + block].T)
@@ -262,18 +261,13 @@ class SliceSeries:
                 out = rows[:, start: start + k]
                 _hamilton_rows(axis, f.imag, out)
                 out += f.real
-                finite = np.isfinite(out).all(axis=0)
-                if not finite.all():
-                    far.append(start + np.flatnonzero(~finite))
-        if far:
-            far = np.concatenate(far)
-            z, axis = _slice_coords_rows(flat[far].T)
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = _horner(self.coeffs, z)
-                out = _hamilton_rows(axis, f.imag, np.empty((4, len(far))))
-                out += f.real
-            out[:, ~np.isfinite(flat[far]).all(axis=1)] = np.nan
-            rows[:, far] = out
+                lost = np.flatnonzero(~np.isfinite(out).all(axis=0))
+                if len(lost):
+                    f = _horner(self.coeffs, z[lost])
+                    redo = _hamilton_rows(axis[:, lost], f.imag, np.empty((4, len(lost))))
+                    redo += f.real
+                    redo[:, ~np.isfinite(flat[start + lost]).all(axis=1)] = np.nan
+                    out[:, lost] = redo
         return rows.T.reshape(pts.shape)
 
     # -- star algebra --------------------------------------------------------
@@ -380,23 +374,23 @@ class SplitPair:
 
     def extend(self, q: Quaternion) -> Quaternion:
         """Slice-regular extension evaluated at one quaternion (see extend_many)."""
-        return Quaternion.from_components(self.extend_many(q.as_array()[None])[0])
+        return Quaternion.from_components(self.extend_many(q))
 
     def extend_many(self, points: np.ndarray) -> np.ndarray:
-        """Slice-regular extension at an (M, 4) array of points; returns (M, 4).
+        """Slice-regular extension at an (..., 4) array of points; returns the same shape.
 
         Writes each q = x + yI (``quaternions._slice_coords_rows``), takes the
         slice function at z = x + yu and x - yu in one Horner sweep and frame
         map of the stacked points (z, conj z), and averages the two with the
         factors (1 -+ Iu)/2: plain evaluation on the slice of u, elsewhere the
-        one slice-regular series through the slice values.  Rows are (4, M).
+        one slice-regular series through the slice values.
 
         As in ``SliceSeries.eval_many``, a point with a NaN or infinite
         component gets NaN in every component once the degree is at least 1,
         without a warning; a constant pair gives its constant everywhere.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, 4)
-        z, iq = _slice_coords_rows(pts.T)
+        pts = _components(points)
+        z, iq = _slice_coords_rows(pts.reshape(-1, 4).T)
         iq_u = _hamilton_rows(iq, self.frame[1], np.empty_like(iq))
         one = ONE.as_array()[:, None]
         with np.errstate(invalid="ignore"):
@@ -404,7 +398,7 @@ class SplitPair:
             fz, fzbar = np.split(_frame_rows(*stacked, self.frame), 2, axis=1)
             mean = 0.5 * (_hamilton_rows(one - iq_u, fz, np.empty_like(iq))
                           + _hamilton_rows(one + iq_u, fzbar, np.empty_like(iq)))
-        return np.ascontiguousarray(mean.T)
+        return np.ascontiguousarray(mean.T).reshape(pts.shape)
 
 
 def random_series(seed: Union[int, np.random.Generator], max_degree: int) -> SliceSeries:

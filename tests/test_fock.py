@@ -35,7 +35,8 @@ from slicefock import (
 from slicefock import _workspace, fock, series
 from slicefock.fock import slice_abs_sq, slice_norms, stem_norms
 from slicefock.quadrature import build_polar_grid
-from slicefock.quaternions import from_frame, random_unit_imaginary, slice_frame, to_frame
+from slicefock.quaternions import (check_unit_imaginary, from_frame, random_unit_imaginary,
+                                   slice_frame, to_frame)
 from slicefock.reference import monomial_gram_reference, monomial_norm_reference
 
 from conftest import (DECIMAL_PI, ball_point, exact_unit_circle, exact_unit_circle_decimal,
@@ -195,6 +196,13 @@ def test_fill_rejects_non_unit_axis(rng):
             f.split(bad)
         with pytest.raises(ValueError, match="unit imaginary"):
             sample_on_grid(f, bad, grid)
+    # a trailing axis other than 4 holds no axes, even where every row has unit norm
+    for bad in (np.array([[0, 1, 0, 0, 0, 0, 0, 0.0]]), np.array([[0, 1, 0], [0, 0, 1.0]] * 2)):
+        for call in (lambda: stem_norms(f, bad, grid, [(3.0, 1.0)]),
+                     lambda: fock._sup_norms(f, bad, grid, [(3.0, 1.0)]),
+                     lambda: slice_abs_sq(f, bad, grid), lambda: check_unit_imaginary(bad)):
+            with pytest.raises(ValueError, match=r"\(\.\.\., 4\) array, got shape"):
+                call()
 
 
 @pytest.mark.parametrize("bad", [Quaternion(math.nan, 1, 0, 0), Quaternion(0, math.nan, 0, 0),
@@ -666,7 +674,7 @@ def test_moment_bound_covers_every_axis(rng):
         table, k, rings = fock._stem_rings(f, grid, fock._exponents(pairs), len(lifted))
         basis = fock._stem_terms(table, grid)
         fock._fill_rings(rings, basis, lifted, np.arange(len(lifted)), grid)
-        weights = {pair: fock._ring_weights(grid, pair, k) for pair in pairs}
+        weights = fock._ring_weights(grid, pairs, k)
         bounds = fock._moment_bounds(basis, lifted, grid, weights)
         for pair, (w, _, _) in weights.items():
             exact = np.sum(rings[pair[0]] * w, axis=-1)

@@ -8,12 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicefock import (
+    FockParams,
     I,
     J,
     K,
     ONE,
     Quaternion,
+    build_grid,
+    fock_norm_slice,
+    inner_product,
     orthogonal_unit,
+    projection_series,
+    random_series,
+    sample_on_grid,
     slice_coords,
 )
 from slicefock.quadrature import slice_sample
@@ -291,6 +298,20 @@ def test_slice_frame_rows_and_validation():
     for bad in (Quaternion(0, 2, 0, 0), Quaternion(0.5, 0, 0, 1), Quaternion(), u * (1 + 4e-10)):
         with pytest.raises(ValueError, match="unit imaginary"):
             slice_frame(bad)
+    # admitted axes, but more than one: every reader of one slice goes through slice_frame
+    params = FockParams(n_r=8, n_theta=8)
+    grid = build_grid(params)
+    f = random_series(1, 3)
+    samples = sample_on_grid(f, u, grid)
+    for axes in (slice_sample(8)[:4], slice_sample(64)):
+        assert axes.shape in ((4, 4), (67, 4))
+        for call in (lambda: slice_frame(axes), lambda: f.split(axes),
+                     lambda: sample_on_grid(f, axes, grid),
+                     lambda: fock_norm_slice(f, axes, params, grid),
+                     lambda: inner_product(f, f, axes, params, grid),
+                     lambda: projection_series(samples, axes, params, grid)):
+            with pytest.raises(ValueError, match="one axis"):
+                call()
 
 
 def test_unit_imaginary_intake_admits_every_library_axis(rng):
@@ -346,10 +367,14 @@ def test_hamilton_matches_scalar(rng):
 
 
 def test_hamilton_rejects_a_trailing_axis_other_than_4():
+    # hamilton and to_frame read their operands through the one shape rule
+    shape_rule = r"\(\.\.\., 4\) array, got shape"
     for a, b in ((np.ones((3, 5)), np.ones((3, 5))), (np.ones((3, 4)), np.ones((3, 3))),
                  (np.ones(4), np.ones((4, 1)))):
-        with pytest.raises(ValueError, match=r"\(\.\.\., 4\)"):
+        with pytest.raises(ValueError, match=shape_rule):
             hamilton(a, b)
+        with pytest.raises(ValueError, match=shape_rule):
+            to_frame(b, slice_frame(I))
 
 
 BIT_SIZES = (0, 1, 7, 20_000)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -431,10 +432,12 @@ def test_eval_many_past_the_float_range_of_the_power_table(size, rng, monkeypatc
     # coefficients are cut off before the table is built, and exactly the
     # points whose table value is not finite go through the complex Horner
     # sweep of the stem function, series._horner, also in a batch that mixes
-    # them with ordinary points.  The values here are finite and agree with
-    # the scalar eval, a separate quaternion loop, to Horner's bound, with
-    # |q| <= 2 max |q_k|, since |q|^2 itself overflows at 1e200
-    horner, swept = series._horner, []
+    # them with ordinary points: one call in each block of points that holds
+    # some, on the default block size (one block here) and on blocks of 7.
+    # The values here are finite and agree with the scalar eval, a separate
+    # quaternion loop, to Horner's bound, with |q| <= 2 max |q_k|, since
+    # |q|^2 itself overflows at 1e200
+    horner, swept, default_bytes = series._horner, [], series._BLOCK_BYTES
 
     def recording(coeffs, z):
         swept.append(np.array(z))
@@ -453,15 +456,19 @@ def test_eval_many_past_the_float_range_of_the_power_table(size, rng, monkeypatc
     tiny_top[2] *= 1e-300
     # the table holds z^0..z^h, h half the coefficients up to the last
     # nonzero one, rounded up: its values overflow where |z|^h = size^h does
-    for f, h in ((SliceSeries(trailing), 1), (SliceSeries(tiny_top), 2)):
+    cases = ((SliceSeries(trailing), 1), (SliceSeries(tiny_top), 2))
+    for (f, h), block in itertools.product(cases, (None, 7)):
         overflows = h * math.log(size) > math.log(np.finfo(float).max)
+        monkeypatch.setattr(series, "_BLOCK_BYTES",
+                            default_bytes if block is None else 16 * (h + 9) * block)
         for points, far in batches:
             swept.clear()
             got = f.eval_many(points)
             if overflows:
-                assert len(swept) == 1
-                assert np.array_equal(swept[0].real, points[far, 0])
-                assert np.allclose(swept[0].imag, size * np.linalg.norm(v[:, 1:], axis=1),
+                assert len(swept) == (1 if block is None else len(set(far // block)))
+                z = np.concatenate(swept)
+                assert np.array_equal(z.real, points[far, 0])
+                assert np.allclose(z.imag, size * np.linalg.norm(v[:, 1:], axis=1),
                                    rtol=1e-15, atol=0.0)
             else:
                 assert swept == []
@@ -581,9 +588,14 @@ def test_eval_components_bit_identical_to_allocating_horner(degree, rng):
 
 def test_eval_many_shape_contract(rng):
     f = make_series(rng, 6)
+    pair = f.split(random_unit_imaginary(rng))
     for shape in ((4,), (0, 4), (2, 3, 4)):
         points = rng.standard_normal(shape)
         assert_within_horner_bound(f, f.eval_many(points), horner_stack(f, points), points)
+        # extend_many keeps the shape too, with the values of the (M, 4) call
+        got = pair.extend_many(points)
+        assert got.shape == shape
+        assert_bit_identical(got, pair.extend_many(points.reshape(-1, 4)).reshape(shape))
     q = Quaternion(0.3, -0.2, 0.1, 0.4)
     assert_within_horner_bound(f, f.eval_many(q.as_array()), f.eval(q).as_array(), q.as_array())
     # a NaN anywhere in q gives NaN values as in eval; a constant stays a_0
@@ -598,10 +610,12 @@ def test_eval_many_shape_contract(rng):
     for x in (*layouts(points).values(), points[0]):
         before = x.copy()
         f.eval_many(x)
+        pair.extend_many(x)
         assert_bit_identical(x, before)
-    for bad in (np.zeros((5, 3)), np.zeros((4, 3)), np.zeros(())):
-        with pytest.raises(ValueError):
-            f.eval_many(bad)
+    for bad in (np.zeros((5, 3)), np.zeros((4, 3)), np.zeros(()), np.zeros((3, 8))):
+        for evaluate in (f.eval_many, pair.extend_many):
+            with pytest.raises(ValueError, match=r"\(\.\.\., 4\)"):
+                evaluate(bad)
 
 
 def test_eval_many_of_a_constant_is_the_broadcast_constant(rng):
